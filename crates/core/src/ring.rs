@@ -1,4 +1,5 @@
-//! The simulation ring: an ordered map of virtual nodes with task sets.
+//! The simulation ring: virtual nodes with task sets, stored as arc-range
+//! shards in struct-of-arrays layout, and the planned tick engine.
 //!
 //! This is the fast substrate the tick simulator runs on (the
 //! protocol-level Chord implementation lives in `autobal-chord`; see
@@ -7,26 +8,51 @@
 //! the paper's own simulator).
 //!
 //! Every virtual node owns the clockwise arc `(predecessor, self]` and
-//! holds the keys of the *remaining* tasks in that arc, sorted
-//! ascending. Joins split the successor's task vector; departures merge
-//! into the successor.
+//! holds the keys of the *remaining* tasks in that arc. Joins split the
+//! successor's task vector; departures merge into the successor.
+//!
+//! ## Layout
+//!
+//! [`Ring`] partitions the 160-bit identifier circle into `S` contiguous
+//! arc-range shards (shard `s` owns ids whose top 96 bits fall in
+//! `[s·2⁹⁶/S, (s+1)·2⁹⁶/S)`; `S = 1` by default). Each shard keeps an
+//! ordered id→slot index next to dense per-slot columns (`owners`,
+//! `tasks`, and the `next` owner-chain link), so the hot tick loop walks
+//! vectors instead of chasing ordered-map nodes.
+//!
+//! Every owner's vnodes form a linked **slot chain** (`heads` per owner,
+//! `next` per slot) in insertion order. The simulator inserts a worker's
+//! primary first, then its static virtual servers, then its Sybils, so
+//! the chain lists them in `Worker::vnodes()` order — the order a worker
+//! drains them in. Chains are short (one primary plus a handful of
+//! statics and Sybils), so appends and removals walk them.
+//!
+//! ## Determinism contract
+//!
+//! Results are **bit-for-bit identical** to the naive sequential
+//! reference (`autobal::reference::NaiveRing`) for every operation
+//! sequence, at every shard count, at every thread count. Structural
+//! operations (join splits, departure merges, task placement) run in
+//! global id order — a shard boundary never changes *what* happens,
+//! only *where* the state lives. The work phase exploits one algebraic
+//! fact: the xorshift64* pop generator's state evolution is independent
+//! of the vector lengths being popped, and each vnode's pop count for a
+//! tick is known before any pop happens (a worker takes
+//! `min(capacity left, queue length)` from each vnode in chain order).
+//! So a tick (a) plans per-vnode counts and stream offsets sequentially
+//! in worker-index order ([`Ring::plan_owner`]), (b) materializes the
+//! whole state stream once, and (c) lets every shard replay its planned
+//! batches against its own task vectors — in parallel, with no
+//! cross-shard effects ([`Ring::run_pops`]). Cross-shard structural
+//! effects (a Sybil landing in another shard's arc, a departure merging
+//! across a boundary) happen in the sequential strategy phase, outside
+//! the parallel window.
 
 use crate::worker::WorkerId;
 use autobal_id::{ring as arc, Id};
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::Bound;
-
-/// One virtual node: a primary or a Sybil.
-#[derive(Debug, Clone)]
-pub struct VNode {
-    /// The physical worker controlling this position.
-    pub owner: WorkerId,
-    /// Remaining task keys in this node's arc, in no particular order.
-    /// Consumption removes a uniformly random element (see
-    /// [`Ring::pop_task`]), so the remaining keys stay uniformly spread
-    /// over the arc — the property Sybil splits rely on.
-    pub tasks: Vec<Id>,
-}
 
 /// Errors from ring operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,28 +77,219 @@ impl std::fmt::Display for RingError {
 
 impl std::error::Error for RingError {}
 
+/// Hard cap on the shard count (a partitioning knob, not a scaling
+/// limit — more shards than cores only adds merge bookkeeping).
+pub const MAX_SHARDS: usize = 64;
+
 /// How many retired task vectors the ring keeps around for reuse.
 /// Splits and merges alternate under churn, so a handful of warm
 /// buffers absorbs the steady state without hoarding memory.
-pub(crate) const POOL_CAP: usize = 32;
+const POOL_CAP: usize = 32;
 
-/// Initial xorshift state for the pop generator. Shared with the
-/// sharded engine so both start from the same stream.
-pub(crate) const POP_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Initial xorshift state for the pop generator.
+const POP_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The ring of virtual nodes.
+/// Owner sentinel marking a freed slot in the struct-of-arrays columns.
+const FREE_OWNER: WorkerId = usize::MAX;
+
+/// One xorshift64 step of the pop generator. The state evolution is
+/// independent of the vector lengths being popped, which is what lets a
+/// tick pre-generate its whole state stream and pop in parallel.
+#[inline]
+fn advance_pop_state(state: u64) -> u64 {
+    let mut x = state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    x
+}
+
+/// Maps an advanced state word to an index in `0..len` (the `*` finisher
+/// of xorshift64*, reduced modulo the vector length).
+#[inline]
+fn pop_index(state: u64, len: usize) -> usize {
+    debug_assert!(len > 0);
+    (state.wrapping_mul(0x2545_F491_4F6C_DD1D) % len as u64) as usize
+}
+
+/// Merges two ascending-sorted slices into one vector.
+fn merge_sorted(a: &[Id], b: &[Id]) -> Vec<Id> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut ai, mut bi) = (a.iter().peekable(), b.iter().peekable());
+    while let (Some(&&x), Some(&&y)) = (ai.peek(), bi.peek()) {
+        if x <= y {
+            out.push(x);
+            ai.next();
+        } else {
+            out.push(y);
+            bi.next();
+        }
+    }
+    out.extend(ai);
+    out.extend(bi);
+    out
+}
+
+/// Appends a sorted chunk to a sorted vector, merging when necessary.
+fn extend_sorted(dst: &mut Vec<Id>, chunk: &[Id]) {
+    let Some(&first) = chunk.first() else {
+        return;
+    };
+    if dst.last().is_none_or(|&l| l <= first) {
+        dst.extend_from_slice(chunk);
+    } else {
+        *dst = merge_sorted(dst, chunk);
+    }
+}
+
+/// Which shard an identifier belongs to: the top 96 bits of the id,
+/// scaled by the shard count. Monotone in the id, so concatenating the
+/// shards' ordered indexes in shard order yields the global id order.
+#[inline]
+fn shard_of(id: Id, shards: usize) -> usize {
+    let [_, mid, hi] = id.limbs();
+    // `hi` < 2³² (160-bit ids), so key96 < 2⁹⁶ and the product fits u128.
+    let key96 = ((hi as u128) << 64) | (mid as u128);
+    ((key96 * shards as u128) >> 96) as usize
+}
+
+/// A slot handle: a column index inside one shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    shard: u32,
+    idx: u32,
+}
+
+/// The end-of-chain (and empty-chain) marker.
+const NIL: Slot = Slot {
+    shard: u32::MAX,
+    idx: u32::MAX,
+};
+
+/// One planned batch of a tick: pop `pops` tasks from column `slot`,
+/// drawing the stream states at `off..off + pops`.
+#[derive(Debug, Clone, Copy)]
+struct Planned {
+    slot: u32,
+    pops: u32,
+    off: u64,
+}
+
+/// One contiguous arc-range shard in struct-of-arrays layout.
+#[derive(Debug, Clone, Default)]
+struct Shard {
+    /// Ordered id → slot index (the shard's fragment of the ring order).
+    index: BTreeMap<Id, u32>,
+    /// Slot → owning worker (`FREE_OWNER` when the slot is free).
+    owners: Vec<WorkerId>,
+    /// Slot → remaining task keys, in queue order (the pop generator
+    /// indexes into this order, so it is part of the determinism
+    /// contract).
+    tasks: Vec<Vec<Id>>,
+    /// Slot → next slot of the same owner's chain.
+    next: Vec<Slot>,
+    /// Free slot list (slots keep their columns; task vectors are
+    /// recycled through the ring-level pool instead).
+    free: Vec<u32>,
+    /// This tick's planned batches, filled by [`Ring::plan_owner`] and
+    /// drained by [`Ring::run_pops`].
+    plan: Vec<Planned>,
+}
+
+impl Shard {
+    /// Files a vnode into a free (or fresh) slot; returns the slot. The
+    /// caller links it into its owner's chain.
+    fn insert(&mut self, id: Id, owner: WorkerId, tasks: Vec<Id>) -> u32 {
+        let idx = match self.free.pop() {
+            Some(i) if (i as usize) < self.owners.len() => i,
+            _ => {
+                self.owners.push(FREE_OWNER);
+                self.tasks.push(Vec::new());
+                self.next.push(NIL);
+                (self.owners.len() - 1) as u32
+            }
+        };
+        let i = idx as usize;
+        if let (Some(o), Some(t)) = (self.owners.get_mut(i), self.tasks.get_mut(i)) {
+            *o = owner;
+            *t = tasks;
+            self.index.insert(id, idx);
+        }
+        // A tick plans each live slot at most once, so a plan buffer as
+        // long as the slot count never grows inside a tick — not even
+        // on the first tick, when every slot pops.
+        self.plan
+            .reserve(self.index.len().saturating_sub(self.plan.len()));
+        idx
+    }
+
+    /// Unfiles the vnode at `idx` (already unlinked from its chain),
+    /// returning its task vector.
+    fn remove(&mut self, id: Id, idx: u32) -> Vec<Id> {
+        self.index.remove(&id);
+        let i = idx as usize;
+        if let Some(o) = self.owners.get_mut(i) {
+            *o = FREE_OWNER;
+        }
+        self.free.push(idx);
+        self.tasks
+            .get_mut(i)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    /// Replays this shard's planned batches against `stream`, then
+    /// clears the plan. Returns the number of tasks popped.
+    ///
+    /// Batches are visited in plan order, but the order cannot change
+    /// the outcome: every state in the stream was assigned to exactly
+    /// one vnode by the planner, and vnodes own disjoint task vectors.
+    fn replay(&mut self, stream: &[u64]) -> u64 {
+        let Shard { tasks, plan, .. } = self;
+        let mut done = 0u64;
+        for p in plan.iter() {
+            let off = p.off as usize;
+            let (Some(tv), Some(states)) = (
+                tasks.get_mut(p.slot as usize),
+                stream.get(off..off + p.pops as usize),
+            ) else {
+                continue;
+            };
+            for &st in states {
+                let len = tv.len();
+                if len == 0 {
+                    break;
+                }
+                tv.swap_remove(pop_index(st, len));
+                done += 1;
+            }
+        }
+        plan.clear();
+        done
+    }
+}
+
+/// The ring of virtual nodes (see the module docs for the layout and
+/// the determinism contract).
 #[derive(Debug, Clone)]
 pub struct Ring {
-    map: BTreeMap<Id, VNode>,
+    shards: Vec<Shard>,
+    /// Total live vnodes across all shards.
+    len: usize,
     total_tasks: u64,
     /// xorshift state for uniform task consumption (deterministic).
     pop_rng: u64,
     /// Reusable split buffer: holds the newcomer's keys during
     /// [`Ring::insert_vnode`] so steady-state splits never allocate.
     scratch: Vec<Id>,
-    /// Retired task vectors from [`Ring::remove_vnode`], recycled as
-    /// newcomer vectors on the next split.
+    /// Retired task vectors, recycled as newcomer vectors on a split.
     pool: Vec<Vec<Id>>,
+    /// Owner → first slot of its chain (`NIL` when it holds no vnode).
+    heads: Vec<Slot>,
+    /// Pops planned so far this tick (the next batch's stream offset).
+    planned: u64,
+    /// The tick's pre-generated pop-state stream (reused buffer).
+    stream: Vec<u64>,
 }
 
 impl Default for Ring {
@@ -82,23 +299,37 @@ impl Default for Ring {
 }
 
 impl Ring {
+    /// A new empty single-shard ring.
     pub fn new() -> Ring {
+        Ring::with_shards(1)
+    }
+
+    /// A new empty ring partitioned into `shards` arcs (clamped to
+    /// `1..=MAX_SHARDS`).
+    pub fn with_shards(shards: usize) -> Ring {
+        let shards = shards.clamp(1, MAX_SHARDS);
         Ring {
-            map: BTreeMap::new(),
+            shards: std::iter::repeat_with(Shard::default)
+                .take(shards)
+                .collect(),
+            len: 0,
             total_tasks: 0,
             pop_rng: POP_SEED,
             scratch: Vec::new(),
             pool: Vec::new(),
+            heads: Vec::new(),
+            planned: 0,
+            stream: Vec::new(),
         }
     }
 
     /// Number of virtual nodes.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// Total remaining tasks across the ring.
@@ -106,57 +337,213 @@ impl Ring {
         self.total_tasks
     }
 
-    pub fn contains(&self, id: Id) -> bool {
-        self.map.contains_key(&id)
+    #[inline]
+    fn shard_idx(&self, id: Id) -> usize {
+        shard_of(id, self.shards.len())
     }
 
-    pub fn vnode(&self, id: Id) -> Option<&VNode> {
-        self.map.get(&id)
+    /// The slot holding the vnode at `id`, if present.
+    fn locate(&self, id: Id) -> Option<Slot> {
+        let s = self.shard_idx(id);
+        let idx = *self.shards.get(s)?.index.get(&id)?;
+        Some(Slot {
+            shard: s as u32,
+            idx,
+        })
+    }
+
+    fn queue(&self, at: Slot) -> Option<&Vec<Id>> {
+        self.shards
+            .get(at.shard as usize)?
+            .tasks
+            .get(at.idx as usize)
+    }
+
+    fn queue_mut(&mut self, at: Slot) -> Option<&mut Vec<Id>> {
+        self.shards
+            .get_mut(at.shard as usize)?
+            .tasks
+            .get_mut(at.idx as usize)
+    }
+
+    fn owner_at(&self, at: Slot) -> Option<WorkerId> {
+        self.shards
+            .get(at.shard as usize)?
+            .owners
+            .get(at.idx as usize)
+            .copied()
+    }
+
+    fn next_of(&self, at: Slot) -> Slot {
+        self.shards
+            .get(at.shard as usize)
+            .and_then(|sh| sh.next.get(at.idx as usize))
+            .copied()
+            .unwrap_or(NIL)
+    }
+
+    /// Points `at`'s chain link — or `owner`'s head when `at` is
+    /// `NIL` — at `to`.
+    fn relink(&mut self, owner: WorkerId, at: Slot, to: Slot) {
+        let link = if at == NIL {
+            self.heads.get_mut(owner)
+        } else {
+            self.shards
+                .get_mut(at.shard as usize)
+                .and_then(|sh| sh.next.get_mut(at.idx as usize))
+        };
+        if let Some(l) = link {
+            *l = to;
+        }
+    }
+
+    fn head(&self, owner: WorkerId) -> Slot {
+        self.heads.get(owner).copied().unwrap_or(NIL)
+    }
+
+    /// The slot before `at` in `owner`'s chain (`NIL` for the head), or
+    /// the chain's last slot when `at` is `NIL`.
+    fn chain_before(&self, owner: WorkerId, at: Slot) -> Slot {
+        let mut before = NIL;
+        let mut cur = self.head(owner);
+        for _ in 0..=self.len {
+            if cur == at {
+                break;
+            }
+            before = cur;
+            cur = self.next_of(cur);
+        }
+        before
+    }
+
+    /// Appends `at` to the tail of `owner`'s chain.
+    fn link_tail(&mut self, owner: WorkerId, at: Slot) {
+        if self.heads.len() <= owner {
+            self.heads.resize(owner + 1, NIL);
+        }
+        let last = self.chain_before(owner, NIL);
+        self.relink(owner, at, NIL);
+        self.relink(owner, last, at);
+    }
+
+    /// Cuts `at` out of `owner`'s chain.
+    fn unlink(&mut self, owner: WorkerId, at: Slot) {
+        let before = self.chain_before(owner, at);
+        let after = self.next_of(at);
+        self.relink(owner, before, after);
+    }
+
+    pub fn contains(&self, id: Id) -> bool {
+        self.locate(id).is_some()
     }
 
     /// Remaining tasks at one virtual node.
     pub fn load(&self, id: Id) -> u64 {
-        self.map.get(&id).map_or(0, |v| v.tasks.len() as u64)
+        self.locate(id)
+            .and_then(|at| self.queue(at))
+            .map_or(0, |t| t.len() as u64)
     }
 
-    /// Iterates `(id, vnode)` in ring (ascending id) order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Id, &VNode)> {
-        self.map.iter()
+    /// The worker controlling the vnode at `id`, if present.
+    pub fn vnode_owner(&self, id: Id) -> Option<WorkerId> {
+        self.owner_at(self.locate(id)?)
+    }
+
+    /// Every owner's ring positions in chain (insertion) order, indexed
+    /// by owner. Test/debug helper; O(vnodes).
+    pub(crate) fn owner_chains(&self) -> Vec<Vec<Id>> {
+        let id_of: Vec<BTreeMap<u32, Id>> = self
+            .shards
+            .iter()
+            .map(|sh| sh.index.iter().map(|(&id, &slot)| (slot, id)).collect())
+            .collect();
+        (0..self.heads.len())
+            .map(|owner| {
+                std::iter::successors(Some(self.head(owner)), |&at| Some(self.next_of(at)))
+                    .take_while(|&at| at != NIL)
+                    .take(self.len)
+                    .filter_map(|at| id_of.get(at.shard as usize)?.get(&at.idx).copied())
+                    .collect()
+            })
+            .collect()
     }
 
     /// The virtual node whose arc contains `key` (first id ≥ key,
     /// wrapping to the smallest id).
     pub fn owner_of_key(&self, key: Id) -> Option<Id> {
-        self.map
-            .range(key..)
-            .next()
-            .map(|(id, _)| *id)
-            .or_else(|| self.map.keys().next().copied())
+        if self.len == 0 {
+            return None;
+        }
+        let s = self.shard_idx(key);
+        if let Some(sh) = self.shards.get(s) {
+            if let Some((&id, _)) = sh.index.range(key..).next() {
+                return Some(id);
+            }
+        }
+        self.first_nonempty_after(s)
     }
 
     /// Clockwise neighbor of `id` (excluding itself; `id` itself when it
     /// is the only node). `id` need not be present.
     pub fn successor_of(&self, id: Id) -> Option<Id> {
-        if self.map.is_empty() {
+        if self.len == 0 {
             return None;
         }
-        self.map
-            .range((Bound::Excluded(id), Bound::Unbounded))
-            .next()
-            .map(|(i, _)| *i)
-            .or_else(|| self.map.keys().next().copied())
+        let s = self.shard_idx(id);
+        if let Some(sh) = self.shards.get(s) {
+            if let Some((&i, _)) = sh
+                .index
+                .range((Bound::Excluded(id), Bound::Unbounded))
+                .next()
+            {
+                return Some(i);
+            }
+        }
+        self.first_nonempty_after(s)
     }
 
     /// Counter-clockwise neighbor of `id` (excluding itself).
     pub fn predecessor_of(&self, id: Id) -> Option<Id> {
-        if self.map.is_empty() {
+        if self.len == 0 {
             return None;
         }
-        self.map
-            .range(..id)
-            .next_back()
-            .map(|(i, _)| *i)
-            .or_else(|| self.map.keys().next_back().copied())
+        let s = self.shard_idx(id);
+        if let Some(sh) = self.shards.get(s) {
+            if let Some((&i, _)) = sh.index.range(..id).next_back() {
+                return Some(i);
+            }
+        }
+        // Walk counter-clockwise through shards s-1, …, 0, then wrap
+        // n-1, …, s: the first non-empty shard's largest id is the
+        // predecessor (or, wrapped, the global maximum).
+        let n = self.shards.len();
+        for d in 1..=n {
+            let t = (s + n - d) % n;
+            if let Some(sh) = self.shards.get(t) {
+                if let Some((&i, _)) = sh.index.iter().next_back() {
+                    return Some(i);
+                }
+            }
+        }
+        None
+    }
+
+    /// The smallest id in the first non-empty shard clockwise after
+    /// shard `s` (cyclically, ending at `s` itself). Ids in shards
+    /// after `s` all sort above shard `s`'s arc, so this is both "next
+    /// id after the arc" and, once wrapped past the top, the global
+    /// minimum.
+    fn first_nonempty_after(&self, s: usize) -> Option<Id> {
+        let n = self.shards.len();
+        for d in 1..=n {
+            let t = (s + d) % n;
+            if let Some(sh) = self.shards.get(t) {
+                if let Some((&i, _)) = sh.index.iter().next() {
+                    return Some(i);
+                }
+            }
+        }
+        None
     }
 
     /// Up to `k` distinct clockwise successors of `id`, nearest first,
@@ -192,35 +579,69 @@ impl Ring {
         out
     }
 
+    /// Files a new vnode in shard `s` and appends it to its owner's
+    /// chain.
+    fn file(&mut self, s: usize, id: Id, owner: WorkerId, tasks: Vec<Id>) {
+        let Some(sh) = self.shards.get_mut(s) else {
+            return;
+        };
+        let idx = sh.insert(id, owner, tasks);
+        self.len += 1;
+        self.link_tail(
+            owner,
+            Slot {
+                shard: s as u32,
+                idx,
+            },
+        );
+    }
+
+    /// Unlinks and unfiles the vnode at `at`, returning its owner and
+    /// task vector.
+    fn unfile(&mut self, id: Id, at: Slot) -> Option<(WorkerId, Vec<Id>)> {
+        let owner = self.owner_at(at)?;
+        self.unlink(owner, at);
+        let tasks = self.shards.get_mut(at.shard as usize)?.remove(id, at.idx);
+        self.len -= 1;
+        Some((owner, tasks))
+    }
+
     /// Inserts a virtual node at `id` for `owner`, splitting the
     /// successor's task set: keys in `(old predecessor, id]` move to the
-    /// newcomer. Returns how many tasks were acquired.
+    /// newcomer, which joins the tail of `owner`'s chain. Returns how
+    /// many tasks were acquired. The successor may live in any shard.
     pub fn insert_vnode(&mut self, id: Id, owner: WorkerId) -> Result<u64, RingError> {
-        if self.map.contains_key(&id) {
+        if self.contains(id) {
             return Err(RingError::Occupied(id));
         }
-        if self.map.is_empty() {
-            self.map.insert(
-                id,
-                VNode {
-                    owner,
-                    tasks: Vec::new(),
-                },
-            );
+        let s = self.shard_idx(id);
+        if self.len == 0 {
+            self.file(s, id, owner, Vec::new());
             return Ok(0);
         }
-        let succ_id = self.owner_of_key(id).expect("non-empty ring");
-        let succ = self.map.get_mut(&succ_id).expect("successor exists");
-        // Keys keeping with the successor are those in (id, succ_id];
-        // everything else in its vector belongs to the newcomer.
-        // `retain` is a stable in-place partition: keepers compact down
-        // in order while the scratch buffer collects the newcomer's
-        // keys, so both vectors end up element-for-element identical to
-        // the two fresh vectors a `partition` would build.
-        self.scratch.clear();
-        let scratch = &mut self.scratch;
-        succ.tasks.retain(|&k| {
-            let keep = arc::in_arc(id, succ_id, k);
+        let Some(succ) = self.owner_of_key(id) else {
+            return Err(RingError::Unknown(id));
+        };
+        let Some(at) = self.locate(succ) else {
+            return Err(RingError::Unknown(succ));
+        };
+        let Ring {
+            shards, scratch, ..
+        } = self;
+        let Some(tv) = shards
+            .get_mut(at.shard as usize)
+            .and_then(|sh| sh.tasks.get_mut(at.idx as usize))
+        else {
+            return Err(RingError::Unknown(succ));
+        };
+        // Keys keeping with the successor are those in (id, succ];
+        // everything else belongs to the newcomer. `retain` is a stable
+        // in-place partition: keepers compact down in order while the
+        // scratch buffer collects the newcomer's keys in their original
+        // order, element-for-element what a `partition` would build.
+        scratch.clear();
+        tv.retain(|&k| {
+            let keep = arc::in_arc(id, succ, k);
             if !keep {
                 scratch.push(k);
             }
@@ -229,32 +650,39 @@ impl Ring {
         let acquired = self.scratch.len() as u64;
         let mut tasks = self.pool.pop().unwrap_or_default();
         tasks.extend_from_slice(&self.scratch);
-        self.map.insert(id, VNode { owner, tasks });
+        self.file(s, id, owner, tasks);
         Ok(acquired)
     }
 
     /// Removes the virtual node at `id`, merging its remaining tasks
-    /// into its successor. Returns `(owner, tasks_moved, successor)`.
+    /// into its successor (which may live in any shard). Returns
+    /// `(owner, tasks_moved, successor)`.
     pub fn remove_vnode(&mut self, id: Id) -> Result<(WorkerId, u64, Id), RingError> {
-        if !self.map.contains_key(&id) {
+        let Some(at) = self.locate(id) else {
             return Err(RingError::Unknown(id));
-        }
-        if self.map.len() == 1 {
-            let v = &self.map[&id];
-            if v.tasks.is_empty() {
-                let v = self.map.remove(&id).unwrap();
-                self.recycle(v.tasks);
-                return Ok((v.owner, 0, id));
+        };
+        if self.len == 1 {
+            if self.queue(at).is_some_and(|t| !t.is_empty()) {
+                return Err(RingError::LastVNode);
             }
-            return Err(RingError::LastVNode);
+            let Some((owner, tasks)) = self.unfile(id, at) else {
+                return Err(RingError::Unknown(id));
+            };
+            self.recycle(tasks);
+            return Ok((owner, 0, id));
         }
-        let succ_id = self.successor_of(id).expect("len >= 2");
-        let v = self.map.remove(&id).unwrap();
-        let moved = v.tasks.len() as u64;
-        let succ = self.map.get_mut(&succ_id).unwrap();
-        succ.tasks.extend_from_slice(&v.tasks);
-        self.recycle(v.tasks);
-        Ok((v.owner, moved, succ_id))
+        let Some(succ) = self.successor_of(id) else {
+            return Err(RingError::Unknown(id));
+        };
+        let Some((owner, tasks)) = self.unfile(id, at) else {
+            return Err(RingError::Unknown(id));
+        };
+        let moved = tasks.len() as u64;
+        if let Some(tv) = self.locate(succ).and_then(|s| self.queue_mut(s)) {
+            tv.extend_from_slice(&tasks);
+        }
+        self.recycle(tasks);
+        Ok((owner, moved, succ))
     }
 
     /// Parks a retired task vector for reuse by a later split.
@@ -267,58 +695,162 @@ impl Ring {
 
     /// Distributes an arbitrary batch of task keys onto their owning
     /// virtual nodes (used for initial placement). Keys may arrive in
-    /// any order.
+    /// any order; each vnode's vector ends up integer-sorted. One sweep
+    /// of the global id order crosses shard boundaries as it goes.
     pub fn assign_tasks(&mut self, mut keys: Vec<Id>) {
-        assert!(!self.map.is_empty(), "assign_tasks on empty ring");
+        debug_assert!(self.len > 0, "assign_tasks on empty ring");
         keys.sort_unstable();
         self.total_tasks += keys.len() as u64;
         // For consecutive vnode ids a < b, b owns integer range (a, b].
-        // The smallest vnode also picks up the wrap: keys > last ∪ keys ≤ first.
-        // One in-order mutable pass over the map replaces the old
-        // collect-all-keys-into-a-Vec approach; `prev` carries the
-        // window's left edge between iterations.
+        // The smallest vnode also picks up the wrap: keys > last ∪ keys
+        // ≤ first. `prev` carries the window's left edge.
         let mut start = 0usize;
         let mut first = None;
         let mut prev = None;
-        for (&b, node) in self.map.iter_mut() {
-            let Some(a) = prev else {
-                first = Some(b);
+        for sh in self.shards.iter_mut() {
+            let Shard { index, tasks, .. } = sh;
+            for (&b, &slot) in index.iter() {
+                let Some(a) = prev else {
+                    first = Some(b);
+                    prev = Some(b);
+                    continue;
+                };
+                // keys in (a, b]: advance start past ≤ a, then take ≤ b.
+                let Some(tail) = keys.get(start..) else {
+                    break;
+                };
+                let lo = tail.partition_point(|&k| k <= a) + start;
+                let Some(rest) = keys.get(lo..) else {
+                    break;
+                };
+                let hi = rest.partition_point(|&k| k <= b) + lo;
+                if let (Some(tv), Some(chunk)) = (tasks.get_mut(slot as usize), keys.get(lo..hi)) {
+                    extend_sorted(tv, chunk);
+                }
+                start = hi;
                 prev = Some(b);
-                continue;
-            };
-            // keys in (a, b]: advance start past ≤ a, then take ≤ b.
-            let lo = keys[start..].partition_point(|&k| k <= a) + start;
-            let hi = keys[lo..].partition_point(|&k| k <= b) + lo;
-            extend_sorted(&mut node.tasks, &keys[lo..hi]);
-            start = hi;
-            prev = Some(b);
+            }
         }
         // Wrap chunk: keys ≤ first id and keys > last id go to first.
-        let first = first.expect("non-empty ring");
-        let last = prev.expect("non-empty ring");
+        let (Some(first), Some(last)) = (first, prev) else {
+            return;
+        };
         let head_end = keys.partition_point(|&k| k <= first);
         let tail_start = keys.partition_point(|&k| k <= last);
-        let first_node = self.map.get_mut(&first).unwrap();
-        // Tail (big keys) sort before head in ring order but after in
+        let Some(tv) = self.locate(first).and_then(|at| self.queue_mut(at)) else {
+            return;
+        };
+        // Tail (big keys) sorts before head in ring order but after in
         // integer order; keep the vector integer-sorted.
-        extend_sorted(&mut first_node.tasks, &keys[..head_end]);
-        extend_sorted(&mut first_node.tasks, &keys[tail_start..]);
+        if let Some(head) = keys.get(..head_end) {
+            extend_sorted(tv, head);
+        }
+        if let Some(tail) = keys.get(tail_start..) {
+            extend_sorted(tv, tail);
+        }
     }
 
-    /// Consumes one uniformly random task from the virtual node.
-    /// Returns `false` if the node is absent or idle.
+    /// Consumes one uniformly random task from the virtual node,
+    /// drawing the next state of the pop stream. Returns `false` if the
+    /// node is absent or idle.
     pub fn pop_task(&mut self, id: Id) -> bool {
-        let Some(v) = self.map.get_mut(&id) else {
+        let Some(at) = self.locate(id) else {
             return false;
         };
-        let len = v.tasks.len();
+        let state = advance_pop_state(self.pop_rng);
+        let Some(tv) = self.queue_mut(at) else {
+            return false;
+        };
+        let len = tv.len();
         if len == 0 {
             return false;
         }
-        let idx = next_pop_index(&mut self.pop_rng, len);
-        v.tasks.swap_remove(idx);
+        tv.swap_remove(pop_index(state, len));
+        self.pop_rng = state;
         self.total_tasks -= 1;
         true
+    }
+
+    /// Sizes the pop-state stream for ticks of up to `per_tick` pops,
+    /// so a tick within that bound never allocates.
+    pub(crate) fn reserve_pops(&mut self, per_tick: u64) {
+        let want = usize::try_from(per_tick).unwrap_or(usize::MAX);
+        self.stream.reserve(want.saturating_sub(self.stream.len()));
+    }
+
+    /// Plans `owner`'s share of the current tick: walks its slot chain
+    /// in order and takes `min(capacity left, queue length)` pops from
+    /// each vnode until `cap` is spent, assigning each batch the next
+    /// offset into the tick's pop stream. Returns the pops planned.
+    ///
+    /// Offsets are handed out in call order, so calling this once per
+    /// worker in worker-index order reproduces the sequential engine's
+    /// draw order exactly: worker by worker, primary first, then statics,
+    /// then Sybils. Call it at most once per owner per tick, and finish
+    /// the tick with [`Ring::run_pops`] before any other mutation.
+    pub(crate) fn plan_owner(&mut self, owner: WorkerId, cap: u32) -> u32 {
+        let mut left = cap;
+        let mut at = self.head(owner);
+        while left > 0 {
+            let Some(sh) = self.shards.get_mut(at.shard as usize) else {
+                break;
+            };
+            let i = at.idx as usize;
+            let len = sh.tasks.get(i).map_or(0, Vec::len);
+            let pops = left.min(u32::try_from(len).unwrap_or(u32::MAX));
+            if pops > 0 {
+                sh.plan.push(Planned {
+                    slot: at.idx,
+                    pops,
+                    off: self.planned,
+                });
+                self.planned += pops as u64;
+                left -= pops;
+            }
+            at = sh.next.get(i).copied().unwrap_or(NIL);
+        }
+        cap - left
+    }
+
+    /// The work phase of one tick, after every owner has been planned:
+    /// generates the tick's pop-state stream once, then replays each
+    /// shard's planned batches — in parallel when there are several
+    /// shards and the ambient rayon pool has threads to spare,
+    /// sequentially otherwise; both produce identical state by
+    /// construction. Returns the number of tasks consumed.
+    ///
+    /// # Panics
+    /// If the replay pops a different number of tasks than were planned,
+    /// or more than the ring holds — a planner bug fails at the tick
+    /// that caused it, in release builds too.
+    pub(crate) fn run_pops(&mut self) -> u64 {
+        let total = std::mem::take(&mut self.planned);
+        self.stream.clear();
+        self.stream.reserve(total as usize);
+        let mut s = self.pop_rng;
+        for _ in 0..total {
+            s = advance_pop_state(s);
+            self.stream.push(s);
+        }
+        self.pop_rng = s;
+        let Ring { shards, stream, .. } = self;
+        let stream: &[u64] = stream;
+        let done: u64 = if shards.len() > 1 && rayon::current_num_threads() > 1 {
+            let jobs: Vec<&mut Shard> = shards.iter_mut().collect();
+            let per_shard: Vec<u64> = jobs.into_par_iter().map(|sh| sh.replay(stream)).collect();
+            per_shard.iter().sum()
+        } else {
+            shards.iter_mut().map(|sh| sh.replay(stream)).sum()
+        };
+        assert_eq!(done, total, "planned tick popped {done} of {total} tasks");
+        let left = self.total_tasks.checked_sub(total);
+        assert!(
+            left.is_some(),
+            "tick popped {total} tasks from a ring holding {}",
+            self.total_tasks
+        );
+        self.total_tasks = left.unwrap_or_default();
+        total
     }
 
     /// The ring-order median of a virtual node's remaining task keys:
@@ -327,113 +859,146 @@ impl Ring {
     /// absent or idle. A Sybil planted *at* this key acquires half the
     /// victim's remaining work exactly — the §VII chosen-ID extension.
     pub fn median_task_key(&self, id: Id) -> Option<Id> {
-        let v = self.map.get(&id)?;
-        if v.tasks.is_empty() {
+        let tv = self.queue(self.locate(id)?)?;
+        if tv.is_empty() {
             return None;
         }
         let pred = self.predecessor_of(id).unwrap_or(id);
-        let mut keys = v.tasks.clone();
+        let mut keys = tv.clone();
         let mid = keys.len() / 2;
         keys.select_nth_unstable_by_key(mid, |k| k.wrapping_sub(pred));
-        Some(keys[mid])
+        keys.get(mid).copied()
+    }
+
+    /// `(owner, load)` for every vnode, in column order.
+    pub(crate) fn owner_loads(&self) -> impl Iterator<Item = (WorkerId, u64)> + '_ {
+        self.shards.iter().flat_map(|sh| {
+            sh.owners
+                .iter()
+                .zip(&sh.tasks)
+                .filter(|&(&owner, _)| owner != FREE_OWNER)
+                .map(|(&owner, tv)| (owner, tv.len() as u64))
+        })
     }
 
     /// Per-owner total loads, for snapshot assertions.
     pub fn loads_by_owner(&self, workers: usize) -> Vec<u64> {
         let mut out = vec![0u64; workers];
-        for v in self.map.values() {
-            out[v.owner] += v.tasks.len() as u64;
+        for (owner, load) in self.owner_loads() {
+            if let Some(o) = out.get_mut(owner) {
+                *o += load;
+            }
         }
         out
     }
 
-    /// Verifies internal invariants (accurate total, keys within their
-    /// owner arcs). Test/debug helper; O(total tasks).
+    /// `(id, owner, tasks)` for every vnode in global ring (ascending
+    /// id) order — shards concatenate to the global order because
+    /// [`shard_of`] is monotone in the id.
+    pub fn rows(&self) -> Vec<(Id, WorkerId, Vec<Id>)> {
+        let mut out = Vec::with_capacity(self.len);
+        for sh in &self.shards {
+            for (&id, &slot) in sh.index.iter() {
+                let owner = sh.owners.get(slot as usize).copied().unwrap_or(FREE_OWNER);
+                let tasks = sh.tasks.get(slot as usize).cloned().unwrap_or_default();
+                out.push((id, owner, tasks));
+            }
+        }
+        out
+    }
+
+    /// `(id, load)` for every vnode in global ring (ascending id) order.
+    pub fn vnode_loads(&self) -> Vec<(Id, u64)> {
+        let mut out = Vec::with_capacity(self.len);
+        for sh in &self.shards {
+            for (&id, &slot) in sh.index.iter() {
+                let load = sh.tasks.get(slot as usize).map_or(0, |t| t.len() as u64);
+                out.push((id, load));
+            }
+        }
+        out
+    }
+
+    /// Verifies internal invariants: accurate totals, shard filing,
+    /// keys within their owner arcs, and owner chains that hold every
+    /// live slot exactly once, each on its own owner's chain.
+    /// Test/debug helper; O(total tasks).
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut counted = 0u64;
-        for (&id, v) in &self.map {
-            counted += v.tasks.len() as u64;
-            let pred = self.predecessor_of(id).unwrap_or(id);
-            for &k in &v.tasks {
-                if pred != id && !arc::in_arc(pred, id, k) {
-                    return Err(format!("key {k} at {id} outside arc ({pred}, {id}]"));
+        let mut live = 0usize;
+        for (si, sh) in self.shards.iter().enumerate() {
+            for (&id, &slot) in sh.index.iter() {
+                live += 1;
+                if self.shard_idx(id) != si {
+                    return Err(format!(
+                        "vnode {id} filed in shard {si}, belongs in {}",
+                        self.shard_idx(id)
+                    ));
+                }
+                let i = slot as usize;
+                if sh.owners.get(i).copied().unwrap_or(FREE_OWNER) == FREE_OWNER {
+                    return Err(format!("vnode {id} points at freed slot {slot}"));
+                }
+                let Some(tv) = sh.tasks.get(i) else {
+                    return Err(format!("vnode {id} points at missing slot {slot}"));
+                };
+                counted += tv.len() as u64;
+                let pred = self.predecessor_of(id).unwrap_or(id);
+                for &k in tv.iter() {
+                    if pred != id && !arc::in_arc(pred, id, k) {
+                        return Err(format!("key {k} at {id} outside arc ({pred}, {id}]"));
+                    }
                 }
             }
         }
-        if counted != self.total_tasks {
+        let filled = self
+            .shards
+            .iter()
+            .flat_map(|sh| &sh.owners)
+            .filter(|&&o| o != FREE_OWNER)
+            .count();
+        if live != self.len || filled != self.len {
             return Err(format!(
-                "total_tasks {} but counted {}",
-                self.total_tasks, counted
+                "len {} but {live} indexed and {filled} filled slots",
+                self.len
             ));
         }
-        Ok(())
-    }
-}
-
-/// One xorshift64 step of the pop generator. Split out from
-/// [`next_pop_index`] because the state evolution is independent of the
-/// vector lengths being popped — the sharded engine exploits this to
-/// pre-generate a tick's whole state stream and pop in parallel.
-#[inline]
-pub(crate) fn advance_pop_state(state: u64) -> u64 {
-    let mut x = state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    x
-}
-
-/// Maps an advanced state word to an index in `0..len` (the `*` finisher
-/// of xorshift64*, reduced modulo the vector length).
-#[inline]
-pub(crate) fn pop_index(state: u64, len: usize) -> usize {
-    debug_assert!(len > 0);
-    (state.wrapping_mul(0x2545_F491_4F6C_DD1D) % len as u64) as usize
-}
-
-/// Next pseudo-random index in `0..len` (xorshift64*; cheap and
-/// deterministic — good enough for picking which task to run next).
-/// Free function over the bare state word so callers holding a mutable
-/// borrow into the node map can still step the generator.
-#[inline]
-fn next_pop_index(state: &mut u64, len: usize) -> usize {
-    *state = advance_pop_state(*state);
-    pop_index(*state, len)
-}
-
-/// Merges two ascending-sorted vectors into one.
-pub(crate) fn merge_sorted(a: &[Id], b: &[Id]) -> Vec<Id> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
+        if counted != self.total_tasks {
+            return Err(format!(
+                "total_tasks {} but counted {counted}",
+                self.total_tasks
+            ));
         }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// Appends a sorted chunk to a sorted vector, merging when necessary.
-pub(crate) fn extend_sorted(dst: &mut Vec<Id>, chunk: &[Id]) {
-    if chunk.is_empty() {
-        return;
-    }
-    if dst.last().is_none_or(|&l| l <= chunk[0]) {
-        dst.extend_from_slice(chunk);
-    } else {
-        *dst = merge_sorted(dst, chunk);
+        let mut chained = 0usize;
+        for owner in 0..self.heads.len() {
+            let mut at = self.head(owner);
+            while at != NIL {
+                chained += 1;
+                if chained > self.len {
+                    return Err(format!("owner {owner}: chain cycles or overflows"));
+                }
+                // Filled slots are exactly the indexed ones (checked
+                // above), so the owner match also proves the slot live.
+                if self.owner_at(at) != Some(owner) {
+                    return Err(format!(
+                        "owner {owner}: chain holds slot {at:?} it does not own"
+                    ));
+                }
+                at = self.next_of(at);
+            }
+        }
+        if chained != self.len {
+            return Err(format!("{chained} chained slots but {} vnodes", self.len));
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn id(v: u128) -> Id {
         Id::from(v)
@@ -449,8 +1014,9 @@ mod tests {
 
     #[test]
     fn empty_ring_basics() {
-        let r = Ring::new();
+        let r = Ring::default();
         assert!(r.is_empty());
+        assert_eq!(r.total_tasks(), 0);
         assert_eq!(r.owner_of_key(id(5)), None);
         assert_eq!(r.successor_of(id(5)), None);
         assert_eq!(r.predecessor_of(id(5)), None);
@@ -500,127 +1066,57 @@ mod tests {
         r.assign_tasks(vec![id(150), id(250), id(280)]);
         assert_eq!(r.load(id(300)), 3);
         // New vnode at 260 takes keys in (100, 260] = {150, 250}.
-        let got = r.insert_vnode(id(260), 9).unwrap();
-        assert_eq!(got, 2);
+        assert_eq!(r.insert_vnode(id(260), 9), Ok(2));
         assert_eq!(r.load(id(260)), 2);
         assert_eq!(r.load(id(300)), 1);
-        assert_eq!(r.vnode(id(260)).unwrap().owner, 9);
-        r.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn insert_vnode_in_wrap_arc() {
-        let mut r = ring_with(&[100, 300]);
-        // Wrap arc (300, 100] holds 350 and 50.
-        r.assign_tasks(vec![id(350), id(50)]);
-        assert_eq!(r.load(id(100)), 2);
-        // Split at 400: takes (300, 400] = {350}.
-        let got = r.insert_vnode(id(400), 7).unwrap();
-        assert_eq!(got, 1);
-        assert_eq!(r.load(id(400)), 1);
-        assert_eq!(r.load(id(100)), 1);
-        r.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn insert_occupied_position_errors() {
-        let mut r = ring_with(&[100]);
+        assert_eq!(r.vnode_owner(id(260)), Some(9));
         assert_eq!(
-            r.insert_vnode(id(100), 1),
-            Err(RingError::Occupied(id(100)))
+            r.insert_vnode(id(260), 1),
+            Err(RingError::Occupied(id(260)))
         );
+        r.check_invariants().unwrap();
     }
 
     #[test]
-    fn remove_vnode_merges_into_successor() {
+    fn remove_vnode_merges_into_successor_across_the_wrap() {
         let mut r = ring_with(&[100, 200, 300]);
-        r.assign_tasks(vec![id(150), id(160), id(250)]);
-        let (owner, moved, succ) = r.remove_vnode(id(200)).unwrap();
-        assert_eq!(owner, 1);
-        assert_eq!(moved, 2);
-        assert_eq!(succ, id(300));
+        r.assign_tasks(vec![id(150), id(160), id(250), id(350)]);
+        assert_eq!(r.remove_vnode(id(200)), Ok((1, 2, id(300))));
         assert_eq!(r.load(id(300)), 3);
-        assert_eq!(r.total_tasks(), 3);
+        assert_eq!(r.remove_vnode(id(300)), Ok((2, 3, id(100))));
+        assert_eq!(r.load(id(100)), 4);
+        assert_eq!(r.total_tasks(), 4);
         r.check_invariants().unwrap();
     }
 
     #[test]
-    fn remove_vnode_merge_across_wrap() {
-        let mut r = ring_with(&[100, 300]);
-        r.assign_tasks(vec![id(350), id(50), id(250)]);
-        // Remove 300 (holds 250): merges into 100 across the wrap.
-        let (_, moved, succ) = r.remove_vnode(id(300)).unwrap();
-        assert_eq!(moved, 1);
-        assert_eq!(succ, id(100));
-        assert_eq!(r.load(id(100)), 3);
-        r.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn remove_unknown_and_last() {
-        let mut r = ring_with(&[100]);
-        assert_eq!(r.remove_vnode(id(5)), Err(RingError::Unknown(id(5))));
-        r.assign_tasks(vec![id(42)]);
-        assert_eq!(r.remove_vnode(id(100)), Err(RingError::LastVNode));
-        assert!(r.pop_task(id(100)));
-        let (_, moved, _) = r.remove_vnode(id(100)).unwrap();
-        assert_eq!(moved, 0);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn pop_task_consumes() {
-        let mut r = ring_with(&[100]);
-        r.assign_tasks(vec![id(1), id(2)]);
-        assert!(r.pop_task(id(100)));
-        assert_eq!(r.total_tasks(), 1);
-        assert!(r.pop_task(id(100)));
-        assert!(!r.pop_task(id(100)));
+    fn last_vnode_rules() {
+        let mut r = Ring::with_shards(4);
+        let at = id(42);
+        r.insert_vnode(at, 0).unwrap();
+        r.assign_tasks(vec![id(7)]);
+        assert_eq!(r.remove_vnode(at), Err(RingError::LastVNode));
+        assert!(r.pop_task(at));
+        assert!(!r.pop_task(at));
         assert!(!r.pop_task(id(999)));
-        assert_eq!(r.total_tasks(), 0);
+        assert_eq!(r.remove_vnode(at), Ok((0, 0, at)));
+        assert!(r.is_empty());
+        assert_eq!(r.remove_vnode(at), Err(RingError::Unknown(at)));
+        r.check_invariants().unwrap();
     }
 
     #[test]
-    fn loads_by_owner_sums_vnodes() {
-        let mut r = Ring::new();
-        r.insert_vnode(id(100), 0).unwrap();
-        r.insert_vnode(id(200), 1).unwrap();
-        r.insert_vnode(id(300), 0).unwrap(); // second vnode for worker 0
-        r.assign_tasks(vec![id(150), id(250), id(260), id(50)]);
-        let loads = r.loads_by_owner(2);
-        // worker0: vnode100 (wrap: 50) + vnode300 (250, 260) = 3.
-        assert_eq!(loads, vec![3, 1]);
-    }
-
-    #[test]
-    fn median_task_key_bisects_remaining_work() {
+    fn median_task_key_bisects_in_ring_order() {
         let mut r = ring_with(&[1000]);
         r.assign_tasks((1..=9u128).map(|v| id(v * 100)).collect());
-        let m = r.median_task_key(id(1000)).unwrap();
-        // 9 keys 100..900; ring order from pred (=self, full ring) wraps,
-        // but all keys < 1000 so ring order = integer order: median 500.
-        assert_eq!(m, id(500));
-        // Splitting there gives the newcomer 5 tasks (100..=500).
-        let got = r.insert_vnode(m, 7).unwrap();
-        assert_eq!(got, 5);
-    }
-
-    #[test]
-    fn median_task_key_respects_ring_order_across_wrap() {
-        let mut r = ring_with(&[100, 300]);
+        assert_eq!(r.median_task_key(id(1000)), Some(id(500)));
+        assert_eq!(r.insert_vnode(id(500), 7), Ok(5));
         // Wrap arc (300, 100]: keys 400, 500, 50 in ring order.
-        r.assign_tasks(vec![id(400), id(500), id(50)]);
-        let m = r.median_task_key(id(100)).unwrap();
-        assert_eq!(m, id(500), "ring-order median, not integer median");
-    }
-
-    #[test]
-    fn median_task_key_edge_cases() {
-        let mut r = ring_with(&[100]);
-        assert_eq!(r.median_task_key(id(100)), None, "idle node");
-        assert_eq!(r.median_task_key(id(999)), None, "absent node");
-        r.assign_tasks(vec![id(42)]);
-        assert_eq!(r.median_task_key(id(100)), Some(id(42)));
+        let mut w = ring_with(&[100, 300]);
+        w.assign_tasks(vec![id(400), id(500), id(50)]);
+        assert_eq!(w.median_task_key(id(100)), Some(id(500)));
+        assert_eq!(w.median_task_key(id(300)), None, "idle node");
+        assert_eq!(w.median_task_key(id(999)), None, "absent node");
     }
 
     #[test]
@@ -634,28 +1130,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_split_respects_consumed_state() {
-        // After consumption removes random keys, a later split still
-        // moves exactly the remaining keys of the new arc.
-        let mut r = ring_with(&[1000]);
-        r.assign_tasks((1..=10u128).map(|v| id(v * 10)).collect());
-        for _ in 0..3 {
-            assert!(r.pop_task(id(1000)));
-        }
-        let remaining_low = r
-            .vnode(id(1000))
-            .unwrap()
-            .tasks
-            .iter()
-            .filter(|&&k| k <= id(45))
-            .count() as u64;
-        let got = r.insert_vnode(id(45), 5).unwrap();
-        assert_eq!(got, remaining_low);
-        assert_eq!(r.load(id(45)) + r.load(id(1000)), 7);
-        r.check_invariants().unwrap();
-    }
-
-    #[test]
     fn pop_task_is_roughly_uniform_over_the_arc() {
         // Consume half the tasks of one big arc; the survivors should
         // not be concentrated at either end.
@@ -664,37 +1138,99 @@ mod tests {
         for _ in 0..500 {
             assert!(r.pop_task(id(1_000_000)));
         }
-        let survivors = &r.vnode(id(1_000_000)).unwrap().tasks;
-        let low = survivors.iter().filter(|&&k| k <= id(50_000)).count();
+        let low = r.rows()[0].2.iter().filter(|&&k| k <= id(50_000)).count();
         // Expect ≈ 250 below the midpoint; fail only on gross bias.
         assert!((150..=350).contains(&low), "low-half survivors: {low}");
     }
-}
-
-#[cfg(test)]
-mod error_tests {
-    use super::*;
 
     #[test]
     fn ring_error_display() {
-        let id = Id::from(5u64);
-        assert!(RingError::Occupied(id).to_string().contains("occupied"));
-        assert!(RingError::Unknown(id)
+        let at = Id::from(5u64);
+        assert!(RingError::Occupied(at).to_string().contains("occupied"));
+        assert!(RingError::Unknown(at)
             .to_string()
             .contains("no virtual node"));
         assert!(RingError::LastVNode.to_string().contains("last"));
     }
 
     #[test]
-    fn ring_errors_are_std_errors() {
-        fn takes_err(_: &dyn std::error::Error) {}
-        takes_err(&RingError::LastVNode);
+    fn shard_of_is_monotone_and_in_range() {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        for shards in [1usize, 2, 3, 8, 64] {
+            let mut pairs: Vec<(Id, usize)> = (0..500)
+                .map(|_| Id::random(&mut rng))
+                .map(|i| (i, shard_of(i, shards)))
+                .collect();
+            pairs.sort();
+            for w in pairs.windows(2) {
+                assert!(w[0].1 <= w[1].1, "shard_of must be monotone");
+            }
+            assert!(pairs.iter().all(|&(_, s)| s < shards));
+        }
+        assert_eq!(shard_of(Id::ZERO, 64), 0);
+        assert_eq!(shard_of(Id::MAX, 64), 63);
     }
 
     #[test]
-    fn default_ring_is_empty() {
-        let r = Ring::default();
-        assert!(r.is_empty());
-        assert_eq!(r.total_tasks(), 0);
+    fn owner_chains_keep_insertion_order_through_removals() {
+        // Owner 0 holds three vnodes in three different shards; its
+        // chain must list them in insertion order and close every gap
+        // a removal leaves — head, middle, and tail.
+        let mut r = Ring::with_shards(8);
+        let top = |v: u64| Id::from_limbs(0, 0, v << 24);
+        for (v, owner) in [(0xF0u64, 0usize), (0x10, 1), (0x70, 0), (0x30, 0)] {
+            r.insert_vnode(top(v), owner).unwrap();
+        }
+        let chain = |r: &Ring, o: usize| r.owner_chains().get(o).cloned().unwrap_or_default();
+        assert_eq!(chain(&r, 0), vec![top(0xF0), top(0x70), top(0x30)]);
+        assert_eq!(chain(&r, 1), vec![top(0x10)]);
+        r.remove_vnode(top(0x70)).unwrap();
+        assert_eq!(chain(&r, 0), vec![top(0xF0), top(0x30)]);
+        r.remove_vnode(top(0xF0)).unwrap();
+        assert_eq!(chain(&r, 0), vec![top(0x30)]);
+        r.insert_vnode(top(0x90), 0).unwrap();
+        assert_eq!(chain(&r, 0), vec![top(0x30), top(0x90)]);
+        r.remove_vnode(top(0x90)).unwrap();
+        r.remove_vnode(top(0x30)).unwrap();
+        assert!(chain(&r, 0).is_empty());
+        assert!(chain(&r, 7).is_empty(), "unknown owners hold nothing");
+        r.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn planned_pops_match_sequential_pops_across_vnodes() {
+        // Two identical rings where every owner holds two vnodes, one
+        // drained pop by pop in worker order (primary first, then the
+        // second vnode), one through plan → stream → replay.
+        for shards in [1usize, 3, 8] {
+            let mut rng = ChaCha8Rng::seed_from_u64(3);
+            let ids: Vec<Id> = (0..40).map(|_| Id::random(&mut rng)).collect();
+            let keys: Vec<Id> = (0..1_200).map(|_| Id::random(&mut rng)).collect();
+            let build = || {
+                let mut r = Ring::with_shards(shards);
+                for (i, &at) in ids.iter().enumerate() {
+                    r.insert_vnode(at, i % 20).unwrap();
+                }
+                r.assign_tasks(keys.clone());
+                r
+            };
+            let (mut seq, mut fast) = (build(), build());
+            for _tick in 0..12 {
+                // Capacity 3 per owner, spread over its chain.
+                let mut total = 0u64;
+                for owner in 0..20 {
+                    total += fast.plan_owner(owner, 3) as u64;
+                    let mut cap = 3;
+                    for at in seq.owner_chains()[owner].clone() {
+                        while cap > 0 && seq.pop_task(at) {
+                            cap -= 1;
+                        }
+                    }
+                }
+                assert_eq!(fast.run_pops(), total);
+                assert_eq!(seq.rows(), fast.rows(), "{shards} shards");
+            }
+            fast.check_invariants().unwrap();
+        }
     }
 }

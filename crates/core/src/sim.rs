@@ -2,8 +2,7 @@
 
 use crate::config::{Heterogeneity, SimConfig, WorkMeasurement};
 use crate::metrics::{RunResult, SimMessageStats, Snapshot, TickSeries};
-use crate::ring::RingError;
-use crate::shard::RingStore;
+use crate::ring::{Ring, RingError};
 use crate::strategy::{
     invitation::{pick_helper, HelperCandidate},
     ActionError, Actions, ChurnOps, InviteOutcome, LocalView, OracleView, Strategy, StrategyParams,
@@ -27,7 +26,7 @@ use rand::Rng;
 /// then call [`Sim::run`] — or drive tick by tick with [`Sim::step`].
 pub struct Sim {
     pub(crate) cfg: SimConfig,
-    pub(crate) ring: RingStore,
+    pub(crate) ring: Ring,
     pub(crate) workers: Vec<Worker>,
     /// Worker ids currently parked in the churn waiting pool.
     pub(crate) waiting: Vec<WorkerId>,
@@ -49,16 +48,17 @@ pub struct Sim {
     dist: LoadDist,
     /// Whether the load dist is maintained (any sampling armed).
     dist_on: bool,
-    /// Whether ticks may run with the worker load ledger detached:
-    /// sharded engine, no churn, no strategy, no sampling or snapshots
-    /// armed — nothing can observe per-worker loads mid-run, so the
-    /// planned tick reads loads from the ring's dense columns instead
-    /// of streaming the whole worker table (see `step`).
-    ledger_detached_ok: bool,
-    /// Per-worker tick capacities cached for the ring-side planner
-    /// (static while the ledger-detached gate holds: no churn means no
-    /// worker set changes, and strengths never change).
-    caps: Vec<u32>,
+    /// Whether ticks run with the worker load ledger detached: no
+    /// churn, no strategy, no sampling or snapshots armed — nothing can
+    /// observe per-worker loads mid-run, so the planner reads queue
+    /// lengths from the ring's columns instead of streaming the whole
+    /// worker table (see `step`).
+    ledger_detached: bool,
+    /// `(worker, capacity)` for every worker that may still hold work,
+    /// in worker-index order: the detached planner's owner list. With
+    /// no churn and no strategy nothing can hand a drained worker new
+    /// work, so a worker leaves the list once its chain drains.
+    drain_owners: Vec<(WorkerId, u32)>,
     /// True while worker `load` caches lag the ring because detached
     /// ticks have run since the last [`Sim::sync_loads`].
     loads_desynced: bool,
@@ -117,7 +117,7 @@ impl Sim {
             }
         };
 
-        let mut ring = RingStore::with_shards(cfg.resolved_shards());
+        let mut ring = Ring::with_shards(cfg.resolved_shards());
         let mut workers = Vec::with_capacity(cfg.nodes * 2);
         for id in node_ids {
             let s = draw_strength(&mut strength_rng);
@@ -160,6 +160,10 @@ impl Sim {
             }
         }
 
+        // No tick pops more than every worker's capacity at once.
+        let sb = cfg.work_measurement == WorkMeasurement::StrengthPerTick;
+        ring.reserve_pops(workers.iter().map(|w| w.capacity(sb)).sum());
+
         let active_count = cfg.nodes;
         let peak = ring.len();
         let cfg_record_events = cfg.record_events;
@@ -175,16 +179,15 @@ impl Sim {
             }
         }
         let hub = MetricsHub::new(cfg.record_metrics).with_ring(cfg.metrics_ring);
-        let ledger_detached_ok = matches!(cfg.strategy, crate::config::StrategyKind::None)
+        let ledger_detached = matches!(cfg.strategy, crate::config::StrategyKind::None)
             && !cfg.churn_enabled()
             && !dist_on
-            && cfg.snapshot_ticks.is_empty()
-            && matches!(ring, RingStore::Sharded(_));
-        let caps: Vec<u32> = if ledger_detached_ok {
-            let sb = cfg.work_measurement == WorkMeasurement::StrengthPerTick;
+            && cfg.snapshot_ticks.is_empty();
+        let drain_owners: Vec<(WorkerId, u32)> = if ledger_detached {
             workers
                 .iter()
-                .map(|w| w.capacity(sb).min(u32::MAX as u64) as u32)
+                .map(|w| tick_capacity(w, sb))
+                .enumerate()
                 .collect()
         } else {
             Vec::new()
@@ -207,8 +210,8 @@ impl Sim {
             series: TickSeries::default(),
             dist,
             dist_on,
-            ledger_detached_ok,
-            caps,
+            ledger_detached,
+            drain_owners,
             loads_desynced: false,
             hub,
             events: EventLog::new(cfg_record_events),
@@ -233,7 +236,7 @@ impl Sim {
     }
 
     /// Read-only view of the ring storage engine.
-    pub fn ring(&self) -> &RingStore {
+    pub fn ring(&self) -> &Ring {
         &self.ring
     }
 
@@ -276,13 +279,44 @@ impl Sim {
         if !self.loads_desynced {
             return;
         }
-        let loads = self.ring.loads_by_owner(self.workers.len());
-        for (w, &l) in self.workers.iter_mut().zip(&loads) {
-            if w.is_active() {
-                w.load = l;
+        // Waiting workers hold no vnodes, so zeroing every cache and
+        // summing the ring's per-vnode loads back in settles them all
+        // without a scratch vector.
+        for w in self.workers.iter_mut() {
+            w.load = 0;
+        }
+        for (owner, load) in self.ring.owner_loads() {
+            if let Some(w) = self.workers.get_mut(owner) {
+                w.load += load;
             }
         }
         self.loads_desynced = false;
+    }
+
+    /// Verifies the ring's structural invariants and that every
+    /// worker's slot chain lists its ring positions in
+    /// [`Worker::vnodes`] order — the drain order the planned tick
+    /// walks. Test/debug helper; O(total tasks).
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.ring.check_invariants()?;
+        let chains = self.ring.owner_chains();
+        if chains.len() > self.workers.len() {
+            return Err(format!(
+                "{} slot chains for {} workers",
+                chains.len(),
+                self.workers.len()
+            ));
+        }
+        for (idx, w) in self.workers.iter().enumerate() {
+            let chain = chains.get(idx).map_or(&[][..], Vec::as_slice);
+            if !chain.iter().copied().eq(w.vnodes()) {
+                let vnodes: Vec<Id> = w.vnodes().collect();
+                return Err(format!(
+                    "worker {idx}: slot chain {chain:?} but vnodes {vnodes:?}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Captures a snapshot of the current workload distribution.
@@ -313,69 +347,27 @@ impl Sim {
         self.strategies = stack;
         let _p = profile::span("work");
 
-        // 3. Every active worker consumes up to its capacity.
-        let strength_based = self.cfg.work_measurement == WorkMeasurement::StrengthPerTick;
-        let mut consumed = 0u64;
-        // Sharded fast path: when every active worker controls exactly
-        // its primary (no Sybils or static virtual servers, which is
-        // `ring.len() == active_count`), each worker's pop count for
-        // the tick is `min(capacity, load)` — known before any pop. A
-        // sequential planning pass assigns each worker its offset into
-        // the tick's pop-state stream (and settles load caches and the
-        // load distribution in the classic per-worker order), then the
-        // shards replay their slices of the stream independently —
-        // bit-for-bit the pops the loop below would have made.
-        let fast =
-            matches!(self.ring, RingStore::Sharded(_)) && self.ring.len() == self.active_count;
-        // Detached-ledger tick: with nothing armed that could observe
-        // per-worker loads mid-run (see `ledger_detached_ok`), the
-        // planning pass reads loads from the ring's dense queue-length
-        // columns and skips the worker-table stream entirely — per-tick
-        // memory traffic drops from the whole `Worker` array to the
-        // shards' owner/length columns. Worker `load` caches go stale
-        // and are re-derived from the ring by `sync_loads` before
-        // anything can read them.
-        let detached = fast && self.ledger_detached_ok;
-        if self.loads_desynced && !detached {
-            self.sync_loads();
-        }
-        if detached {
-            if let RingStore::Sharded(sr) = &mut self.ring {
-                consumed = sr.plan_pops_from_ring(&self.caps);
-                sr.run_pops(consumed);
-                self.loads_desynced = true;
-            }
-        } else if fast {
-            if let RingStore::Sharded(sr) = &mut self.ring {
-                sr.offs.clear();
-                sr.pops.clear();
-                sr.offs.resize(self.workers.len(), 0);
-                sr.pops.resize(self.workers.len(), 0);
-                for (idx, w) in self.workers.iter_mut().enumerate() {
-                    if !w.is_active() {
-                        continue;
-                    }
-                    let cap = w.capacity(strength_based);
-                    let load = w.load;
-                    if cap == 0 || load == 0 {
-                        continue;
-                    }
-                    let p = cap.min(load);
-                    sr.offs[idx] = consumed;
-                    sr.pops[idx] = p as u32;
-                    consumed += p;
-                    if self.dist_on {
-                        self.dist.update(load, load - p);
-                    }
-                    w.load = load - p;
-                }
-                sr.run_pops(consumed);
-            }
-        } else {
+        // 3. Every active worker consumes up to its capacity, draining
+        //    its primary first, then its static virtual servers, then its
+        //    Sybils. How many tasks each vnode gives up is known before
+        //    any pop: the planner walks each worker's slot chain in that
+        //    order and assigns every vnode its offset into the tick's
+        //    pop-state stream, worker by worker in index order; the
+        //    shards then replay their slices of the stream (see
+        //    `crate::ring`) — the pops a pop-by-pop loop would make.
+        if self.ledger_detached {
+            // Detached ledger: the planner reads queue lengths from the
+            // ring's columns and never touches the worker table. Worker
+            // `load` caches go stale and are re-derived from the ring by
+            // `sync_loads` before anything can read them. A worker that
+            // cannot fill its capacity has drained and leaves the list.
             let ring = &mut self.ring;
-            let dist = &mut self.dist;
-            let dist_on = self.dist_on;
-            for w in self.workers.iter_mut() {
+            self.drain_owners
+                .retain(|&(w, cap)| ring.plan_owner(w, cap) == cap);
+            self.loads_desynced = true;
+        } else {
+            let strength_based = self.cfg.work_measurement == WorkMeasurement::StrengthPerTick;
+            for (idx, w) in self.workers.iter_mut().enumerate() {
                 // Load first: in the drain tail most workers sit at 0,
                 // and waiting workers always do, so one field read
                 // usually settles the whole iteration.
@@ -383,34 +375,14 @@ impl Sim {
                 if load == 0 || !w.is_active() {
                     continue;
                 }
-                let mut cap = w.capacity(strength_based);
-                if cap == 0 {
-                    continue;
+                let p = self.ring.plan_owner(idx, tick_capacity(w, strength_based)) as u64;
+                if self.dist_on {
+                    self.dist.update(load, load - p);
                 }
-                // Drain primary first, then Sybils. The vnode iterator
-                // borrows the worker immutably while `pop_task` mutates
-                // the (disjoint) ring, so no per-worker collection is
-                // needed; the load cache is settled after the loop.
-                let mut consumed_w = 0u64;
-                'outer: for v in w.vnodes() {
-                    while cap > 0 && ring.pop_task(v) {
-                        cap -= 1;
-                        consumed_w += 1;
-                        if consumed_w == load {
-                            break 'outer;
-                        }
-                    }
-                    if cap == 0 {
-                        break;
-                    }
-                }
-                consumed += consumed_w;
-                if dist_on {
-                    dist.update(load, load - consumed_w);
-                }
-                w.load = load - consumed_w;
+                w.load = load - p;
             }
         }
+        let consumed = self.ring.run_pops();
         self.work_history.push(consumed);
         self.hub.inc(metric_names::TICKS);
         self.hub.add(metric_names::TASKS_DONE, consumed);
@@ -420,7 +392,7 @@ impl Sim {
         // caused it, not at the test that later trips over it.
         #[cfg(feature = "strict")]
         debug_assert!(
-            self.ring.check_invariants().is_ok(),
+            self.check_invariants().is_ok(),
             "ring invariants violated at tick {}",
             self.tick
         );
@@ -1029,6 +1001,11 @@ impl Actions for SimNodeCtx<'_> {
     }
 }
 
+/// A worker's per-tick capacity as the planner takes it.
+fn tick_capacity(w: &Worker, strength_based: bool) -> u32 {
+    u32::try_from(w.capacity(strength_based)).unwrap_or(u32::MAX)
+}
+
 /// Draws `n` distinct random ids.
 fn unique_random_ids(n: usize, rng: &mut DetRng) -> Vec<Id> {
     let mut seen = std::collections::BTreeSet::new();
@@ -1106,7 +1083,7 @@ mod tests {
         let mut sim = Sim::new(cfg, 5);
         for _ in 0..20 {
             sim.step();
-            sim.ring.check_invariants().unwrap();
+            sim.check_invariants().unwrap();
             sim.assert_load_caches();
         }
         let consumed: u64 = sim.work_history.iter().sum();

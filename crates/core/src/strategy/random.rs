@@ -134,7 +134,7 @@ mod tests {
             consumed += sim.step();
         }
         assert_eq!(sim.remaining_tasks() + consumed, 10_000);
-        sim.ring().check_invariants().unwrap();
+        sim.check_invariants().unwrap();
     }
 
     #[test]

@@ -564,8 +564,8 @@ fn oracle_scaling(args: &Args) -> Vec<Measurement> {
                 speedup_vs_naive: None,
             });
         }
-        // Report the sharded-engine gain over the classic engine for
-        // this worker count (the acceptance figure at n >= 100k).
+        // Report the best multi-shard gain over one shard for this
+        // worker count: the part of the speed that parallel replay adds.
         if let (Some(base), Some(best)) = (
             out.iter()
                 .find(|m| m.workers == Some(workers) && m.shards == Some(1)),

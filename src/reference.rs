@@ -4,12 +4,17 @@
 //! [`NaiveRing`] transcribes the straightforward (allocating) versions
 //! of the hot ring operations — `partition`-based arc splits, a
 //! get-then-get_mut task pop — and [`NaiveSim`] the original
-//! collect-per-worker tick loop. Two consumers keep them honest:
+//! collect-per-worker, pop-by-pop tick loop. Three consumers keep them
+//! honest:
 //!
-//! * `tests/ring_reference.rs` differentially pins the optimized
-//!   [`autobal_core::Ring`] against `NaiveRing` under random operation
-//!   sequences (including wrap arcs), element order included, so the
-//!   in-place split can never drift from the obvious implementation.
+//! * `tests/ring_reference.rs` and `tests/shard_parity.rs`
+//!   differentially pin [`autobal_core::Ring`] against `NaiveRing` under
+//!   random operation sequences (including wrap arcs and shard seams),
+//!   element order included, so the in-place split can never drift from
+//!   the obvious implementation.
+//! * The same files pin full simulator runs against `NaiveSim`, whose
+//!   pop-by-pop drain (primary, then statics, then Sybils) is the
+//!   reference for the planned, batched tick.
 //! * `repro perf` runs `NaiveSim` and the optimized engine on the same
 //!   pinned scenario in the same process, asserts tick-for-tick
 //!   equality, and reports the measured speedup in `BENCH_10.json`.
@@ -125,6 +130,51 @@ impl NaiveRing {
             .or_else(|| self.map.keys().next().copied())
     }
 
+    pub fn predecessor_of(&self, id: Id) -> Option<Id> {
+        if self.map.is_empty() {
+            return None;
+        }
+        self.map
+            .range(..id)
+            .next_back()
+            .map(|(i, _)| *i)
+            .or_else(|| self.map.keys().next_back().copied())
+    }
+
+    /// Up to `k` clockwise successors of `id`: repeated
+    /// [`NaiveRing::successor_of`] steps, stopping early if the walk
+    /// comes back to `id`.
+    pub fn successors(&self, id: Id, k: usize) -> Vec<Id> {
+        let mut out = Vec::new();
+        let mut cur = id;
+        while out.len() < k {
+            match self.successor_of(cur) {
+                Some(s) if s != id => {
+                    out.push(s);
+                    cur = s;
+                }
+                _ => break,
+            }
+        }
+        out
+    }
+
+    /// Up to `k` counter-clockwise predecessors of `id`, nearest first.
+    pub fn predecessors(&self, id: Id, k: usize) -> Vec<Id> {
+        let mut out = Vec::new();
+        let mut cur = id;
+        while out.len() < k {
+            match self.predecessor_of(cur) {
+                Some(p) if p != id => {
+                    out.push(p);
+                    cur = p;
+                }
+                _ => break,
+            }
+        }
+        out
+    }
+
     /// The transcription of the pre-optimization `Ring::insert_vnode`:
     /// `partition` the successor's tasks into two fresh vectors.
     ///
@@ -228,15 +278,19 @@ pub struct NaiveRunResult {
     pub churn_leaves: u64,
     pub churn_joins: u64,
     pub peak_vnodes: usize,
+    pub sybils_created: u64,
+    pub sybils_retired: u64,
     pub series_gini: Vec<f64>,
     pub series_idle: Vec<usize>,
 }
 
 /// The pre-optimization tick engine, restricted to the strategies the
-/// perf baseline needs (`None` and `Churn` — no Sybil layers). Every
-/// hot-path allocation the optimization pass removed is preserved here:
-/// the per-worker `vnodes().collect()`, the per-sample `active_loads()`
-/// vector, and the partitioning ring operations above.
+/// parity tests and the perf baseline need: `None`, `Churn`, and
+/// `RandomInjection` (with or without background churn), the one Sybil
+/// layer simple enough to transcribe. Every hot-path allocation the
+/// optimization pass removed is preserved here: the per-worker
+/// `vnodes().collect()`, the per-sample `active_loads()` vector, and the
+/// partitioning ring operations above.
 pub struct NaiveSim {
     cfg: SimConfig,
     ring: NaiveRing,
@@ -245,8 +299,11 @@ pub struct NaiveSim {
     tick: u64,
     active_count: usize,
     rng_churn: DetRng,
+    rng_strategy: DetRng,
     churn_leaves: u64,
     churn_joins: u64,
+    sybils_created: u64,
+    sybils_retired: u64,
     work_history: Vec<u64>,
     peak_vnodes: usize,
     series_gini: Vec<f64>,
@@ -258,8 +315,11 @@ impl NaiveSim {
     /// produces the identical initial placement.
     pub fn new(cfg: SimConfig, seed: u64) -> NaiveSim {
         assert!(
-            matches!(cfg.strategy, StrategyKind::None | StrategyKind::Churn),
-            "NaiveSim only models the None/Churn engines"
+            matches!(
+                cfg.strategy,
+                StrategyKind::None | StrategyKind::Churn | StrategyKind::RandomInjection
+            ),
+            "NaiveSim only models the None/Churn/RandomInjection engines"
         );
         cfg.validate().expect("invalid SimConfig");
         let mut placement = substream(seed, 0, domains::PLACEMENT);
@@ -335,8 +395,11 @@ impl NaiveSim {
             tick: 0,
             active_count,
             rng_churn: substream(seed, 0, domains::CHURN),
+            rng_strategy: substream(seed, 0, domains::STRATEGY),
             churn_leaves: 0,
             churn_joins: 0,
+            sybils_created: 0,
+            sybils_retired: 0,
             work_history: Vec::new(),
             peak_vnodes: peak,
             series_gini: Vec::new(),
@@ -434,12 +497,53 @@ impl NaiveSim {
         }
     }
 
+    /// One random-injection check pass, transcribed from
+    /// `RandomInjection::check_node` over the simulator's node context:
+    /// active workers in index order; an idle worker retires its Sybils,
+    /// then an eligible worker draws up to four random positions until
+    /// one is free.
+    fn random_injection_check(&mut self) {
+        let het = self.cfg.heterogeneity == Heterogeneity::Heterogeneous;
+        let order: Vec<WorkerId> = (0..self.workers.len())
+            .filter(|&i| self.workers[i].is_active())
+            .collect();
+        for idx in order {
+            if self.workers[idx].load == 0 && !self.workers[idx].sybils.is_empty() {
+                let sybils = std::mem::take(&mut self.workers[idx].sybils);
+                self.sybils_retired += sybils.len() as u64;
+                for s in sybils {
+                    self.remove_vnode_tracked(s);
+                }
+            }
+            let w = &self.workers[idx];
+            if w.load > self.cfg.sybil_threshold
+                || w.sybil_slots_left(self.cfg.max_sybils, het) == 0
+            {
+                continue;
+            }
+            for _ in 0..4 {
+                let pos = Id::random(&mut self.rng_strategy);
+                if !self.ring.contains(pos) {
+                    self.insert_vnode_tracked(pos, idx);
+                    self.workers[idx].sybils.push(pos);
+                    self.sybils_created += 1;
+                    break;
+                }
+            }
+        }
+    }
+
     /// The original work phase: collect each worker's vnodes into a
     /// fresh vector, then drain up to capacity.
     fn step(&mut self) -> u64 {
         self.tick += 1;
         if self.cfg.churn_enabled() {
             self.churn_tick();
+        }
+        if self.cfg.strategy == StrategyKind::RandomInjection
+            && self.tick.is_multiple_of(self.cfg.check_interval)
+        {
+            self.random_injection_check();
         }
         let strength_based = self.cfg.work_measurement == WorkMeasurement::StrengthPerTick;
         let mut consumed = 0u64;
@@ -509,6 +613,8 @@ impl NaiveSim {
             churn_leaves: self.churn_leaves,
             churn_joins: self.churn_joins,
             peak_vnodes: self.peak_vnodes,
+            sybils_created: self.sybils_created,
+            sybils_retired: self.sybils_retired,
             series_gini: self.series_gini,
             series_idle: self.series_idle,
         }
@@ -559,7 +665,7 @@ mod tests {
         let cfg = SimConfig {
             nodes: 10,
             tasks: 100,
-            strategy: StrategyKind::RandomInjection,
+            strategy: StrategyKind::SmartNeighbor,
             ..SimConfig::default()
         };
         let _ = NaiveSim::new(cfg, 1);

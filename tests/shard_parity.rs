@@ -1,23 +1,22 @@
-//! Differential tests for the sharded arc-range engine: the
-//! struct-of-arrays [`ShardedRing`] (behind [`RingStore`]) against the
-//! classic ordered-map [`Ring`] and the naive reference in
-//! [`autobal::reference`], at every supported shard count.
+//! Differential tests for the ring engine at every supported shard
+//! count: [`Ring`] against the naive reference ring and simulator in
+//! [`autobal::reference`].
 //!
 //! Equality is **bit-for-bit**: identical task element order inside
 //! every vnode (so the shared xorshift pop stream consumes identical
 //! indices), identical routing answers, and — at the simulator level —
-//! identical [`RunResult`]s including trace and metrics bytes, for
-//! every strategy, at every shard count, under any rayon thread count.
+//! identical run outcomes against the pop-by-pop [`NaiveSim`], plus
+//! identical [`RunResult`]s (trace and metrics bytes included) across
+//! shard counts, for every strategy, under any rayon thread count.
 
-use autobal::reference::{NaiveRing, NaiveSim};
-use autobal::sim::{RingStore, Sim, SimConfig, StrategyKind};
+use autobal::reference::{NaiveRing, NaiveRunResult, NaiveSim};
+use autobal::sim::{Heterogeneity, Ring, RunResult, Sim, SimConfig, StrategyKind, WorkMeasurement};
 use autobal::Id;
 use proptest::prelude::*;
 
-/// Shard counts under differential test. 1 selects the classic engine
-/// (the `RingStore::Solo` arm), so the soup also re-verifies the
-/// selector's forwarding; 3 is deliberately not a divisor of the id
-/// space; 8 puts the `pos_id` population across every shard.
+/// Shard counts under differential test. 3 is deliberately not a
+/// divisor of the id space; 8 puts the `pos_id` population across
+/// every shard.
 const SHARD_COUNTS: &[usize] = &[1, 2, 3, 8];
 
 /// 256 vnode positions spread across the whole 160-bit ring (top limb
@@ -52,13 +51,18 @@ fn arb_op() -> impl Strategy<Value = Op> {
     })
 }
 
+fn rings() -> Vec<Ring> {
+    SHARD_COUNTS.iter().map(|&s| Ring::with_shards(s)).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// One operation soup, driven simultaneously through the naive
-    /// reference and a `RingStore` per shard count. Full state
-    /// (including task element order) must agree after every single
-    /// operation on every engine.
+    /// reference and a `Ring` per shard count. Full state (including
+    /// task element order) must agree after every single operation on
+    /// every shard count, and every ring's owner chains must stay
+    /// consistent.
     #[test]
     fn op_soup_is_bit_identical_across_shard_counts(
         positions in proptest::collection::vec(any::<u8>(), 1..10),
@@ -66,20 +70,19 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..64),
     ) {
         let mut naive = NaiveRing::new();
-        let mut stores: Vec<RingStore> =
-            SHARD_COUNTS.iter().map(|&s| RingStore::with_shards(s)).collect();
+        let mut rings = rings();
         for (i, &p) in positions.iter().enumerate() {
             let id = pos_id(p);
             let want = naive.insert_vnode(id, i).ok();
-            for st in stores.iter_mut() {
-                prop_assert_eq!(st.insert_vnode(id, i).ok(), want);
+            for r in rings.iter_mut() {
+                prop_assert_eq!(r.insert_vnode(id, i).ok(), want);
             }
         }
         let keys: Vec<Id> = keys.into_iter().map(key_id).collect();
         naive.assign_tasks(keys.clone());
-        for st in stores.iter_mut() {
-            st.assign_tasks(keys.clone());
-            prop_assert_eq!(st.rows(), naive.rows());
+        for r in rings.iter_mut() {
+            r.assign_tasks(keys.clone());
+            prop_assert_eq!(r.rows(), naive.rows());
         }
 
         for op in ops {
@@ -87,59 +90,59 @@ proptest! {
                 Op::Insert { pos, owner } => {
                     let id = pos_id(pos);
                     let want = naive.insert_vnode(id, owner as usize).ok();
-                    for st in stores.iter_mut() {
-                        prop_assert_eq!(st.insert_vnode(id, owner as usize).ok(), want);
+                    for r in rings.iter_mut() {
+                        prop_assert_eq!(r.insert_vnode(id, owner as usize).ok(), want);
                     }
                 }
                 Op::Remove { pos } => {
                     let id = pos_id(pos);
                     let want = naive.remove_vnode(id).ok();
-                    for st in stores.iter_mut() {
-                        prop_assert_eq!(st.remove_vnode(id).ok(), want);
+                    for r in rings.iter_mut() {
+                        prop_assert_eq!(r.remove_vnode(id).ok(), want);
                     }
                 }
                 Op::Pop { pos } => {
                     let id = pos_id(pos);
                     let want = naive.pop_task(id);
-                    for st in stores.iter_mut() {
-                        prop_assert_eq!(st.pop_task(id), want);
+                    for r in rings.iter_mut() {
+                        prop_assert_eq!(r.pop_task(id), want);
                     }
                 }
             }
-            for st in stores.iter() {
-                prop_assert_eq!(st.len(), naive.len());
-                prop_assert_eq!(st.total_tasks(), naive.total_tasks());
-                prop_assert_eq!(st.rows(), naive.rows());
-                prop_assert!(st.check_invariants().is_ok());
+            for r in rings.iter() {
+                prop_assert_eq!(r.len(), naive.len());
+                prop_assert_eq!(r.total_tasks(), naive.total_tasks());
+                prop_assert_eq!(r.rows(), naive.rows());
+                prop_assert!(r.check_invariants().is_ok());
             }
         }
     }
 
     /// Routing answers — key ownership, successor/predecessor walks,
-    /// and k-neighbor lists (which cross shard seams) — agree across
-    /// every shard count.
+    /// and k-neighbor lists (which cross shard seams) — agree with the
+    /// reference at every shard count.
     #[test]
     fn routing_is_identical_across_shard_counts(
         positions in proptest::collection::vec(any::<u8>(), 1..12),
         probes in proptest::collection::vec(any::<u16>(), 1..32),
     ) {
-        let mut stores: Vec<RingStore> =
-            SHARD_COUNTS.iter().map(|&s| RingStore::with_shards(s)).collect();
+        let mut naive = NaiveRing::new();
+        let mut rings = rings();
         for (i, &p) in positions.iter().enumerate() {
             let id = pos_id(p);
-            for st in stores.iter_mut() {
-                let _ = st.insert_vnode(id, i);
+            let _ = naive.insert_vnode(id, i);
+            for r in rings.iter_mut() {
+                let _ = r.insert_vnode(id, i);
             }
         }
-        let (solo, rest) = stores.split_first().expect("nonempty");
-        for probe in probes {
-            let k = key_id(probe);
-            for st in rest {
-                prop_assert_eq!(st.owner_of_key(k), solo.owner_of_key(k));
-                prop_assert_eq!(st.successor_of(k), solo.successor_of(k));
-                prop_assert_eq!(st.predecessor_of(k), solo.predecessor_of(k));
-                prop_assert_eq!(st.successors(k, 3), solo.successors(k, 3));
-                prop_assert_eq!(st.predecessors(k, 3), solo.predecessors(k, 3));
+        let probes = probes.into_iter().map(key_id).chain(positions.into_iter().map(pos_id));
+        for k in probes {
+            for r in &rings {
+                prop_assert_eq!(r.owner_of_key(k), naive.owner_of_key(k));
+                prop_assert_eq!(r.successor_of(k), naive.successor_of(k));
+                prop_assert_eq!(r.predecessor_of(k), naive.predecessor_of(k));
+                prop_assert_eq!(r.successors(k, 3), naive.successors(k, 3));
+                prop_assert_eq!(r.predecessors(k, 3), naive.predecessors(k, 3));
             }
         }
     }
@@ -149,17 +152,17 @@ proptest! {
 /// shards 0 (`0x10`), 3 (`0x70`), and 7 (`0xF0`). The arc
 /// `(0xF0, 0x10]` wraps through zero across the shard 7 → 0 seam, and
 /// inserting at `0x70` splits an arc whose keys live in a different
-/// shard than the newcomer. Both are the branchiest paths of the
-/// sharded `insert_vnode`/`remove_vnode` (cross-shard successor walks
-/// plus task migration between shards).
+/// shard than the newcomer. Both are the branchiest paths of
+/// `insert_vnode`/`remove_vnode` (cross-shard successor walks plus task
+/// migration between shards).
 #[test]
 fn cross_shard_splits_match_reference() {
     let mut naive = NaiveRing::new();
-    let mut store = RingStore::with_shards(8);
+    let mut ring = Ring::with_shards(8);
 
     for (pos, owner) in [(0x10u8, 0usize), (0xF0, 1)] {
         assert!(naive.insert_vnode(pos_id(pos), owner).is_ok());
-        assert!(store.insert_vnode(pos_id(pos), owner).is_ok());
+        assert!(ring.insert_vnode(pos_id(pos), owner).is_ok());
     }
     // Keys in the wrap region (above 0xF0, below 0x10) and mid-ring.
     let keys: Vec<Id> = [0xF8_00u16, 0xFE_00, 0x01_00, 0x20_00, 0x70_00, 0x90_00]
@@ -167,45 +170,43 @@ fn cross_shard_splits_match_reference() {
         .map(key_id)
         .collect();
     naive.assign_tasks(keys.clone());
-    store.assign_tasks(keys);
-    assert_eq!(store.load(pos_id(0x10)), 3, "wrap arc holds 3 keys");
-    assert_eq!(store.rows(), naive.rows());
+    ring.assign_tasks(keys);
+    assert_eq!(ring.load(pos_id(0x10)), 3, "wrap arc holds 3 keys");
+    assert_eq!(ring.rows(), naive.rows());
 
     // Split the long arc (0x10, 0xF0] at 0x70: the newcomer (shard 3)
     // takes the keys in (0x10, 0x70] away from 0xF0 (shard 7).
     assert_eq!(
-        store.insert_vnode(pos_id(0x70), 2).ok(),
+        ring.insert_vnode(pos_id(0x70), 2).ok(),
         naive.insert_vnode(pos_id(0x70), 2).ok()
     );
-    assert_eq!(store.rows(), naive.rows());
+    assert_eq!(ring.rows(), naive.rows());
 
     // Split the wrap arc at 0x08 (shard 0): keys strictly in
     // (0xF0, 0x08] — 0xF8, 0xFE, 0x01 — migrate from shard 0's 0x10.
     assert_eq!(
-        store.insert_vnode(pos_id(0x08), 3).ok(),
+        ring.insert_vnode(pos_id(0x08), 3).ok(),
         naive.insert_vnode(pos_id(0x08), 3).ok()
     );
-    assert_eq!(store.rows(), naive.rows());
+    assert_eq!(ring.rows(), naive.rows());
 
     // Removals merge back across the same seams identically.
     for pos in [0x08u8, 0x70] {
         assert_eq!(
-            store.remove_vnode(pos_id(pos)).ok(),
+            ring.remove_vnode(pos_id(pos)).ok(),
             naive.remove_vnode(pos_id(pos)).ok()
         );
-        assert_eq!(store.rows(), naive.rows());
+        assert_eq!(ring.rows(), naive.rows());
     }
-    assert_eq!(store.load(pos_id(0x10)), 3);
-    assert!(store.check_invariants().is_ok());
+    assert_eq!(ring.load(pos_id(0x10)), 3);
+    assert!(ring.check_invariants().is_ok());
 }
 
 /// Simulator-level parity: for every strategy (including the
-/// centralized oracle) and background churn, a run with `shards` ≥ 2 —
-/// which selects the struct-of-arrays engine and, where eligible, the
-/// planned parallel pop path — produces a `RunResult` equal to the
-/// single-shard classic engine in every field: ticks, work curve,
-/// snapshots, message counts, event log, golden float series, trace
-/// records, and metrics samples.
+/// centralized oracle) and background churn, a run at 2, 3 or 8 shards
+/// produces a `RunResult` equal to the single-shard run in every field:
+/// ticks, work curve, snapshots, message counts, event log, golden
+/// float series, trace records, and metrics samples.
 #[test]
 fn every_strategy_is_shard_count_invariant() {
     let kinds = StrategyKind::ALL
@@ -247,9 +248,23 @@ fn every_strategy_is_shard_count_invariant() {
     }
 }
 
-/// The fast parallel pop path (every active worker holding exactly its
-/// primary — no Sybils) agrees with both the classic engine and the
-/// naive reference end to end, with and without churn interruptions.
+/// Every outcome column [`NaiveSim`] reports must match the run's.
+fn assert_matches_naive(res: &RunResult, naive: &NaiveRunResult, what: &str) {
+    assert_eq!(res.ticks, naive.ticks, "ticks: {what}");
+    assert_eq!(res.completed, naive.completed, "completed: {what}");
+    assert_eq!(res.work_per_tick, naive.work_per_tick, "work: {what}");
+    assert_eq!(res.messages.churn_leaves, naive.churn_leaves, "{what}");
+    assert_eq!(res.messages.churn_joins, naive.churn_joins, "{what}");
+    assert_eq!(res.messages.sybils_created, naive.sybils_created, "{what}");
+    assert_eq!(res.messages.sybils_retired, naive.sybils_retired, "{what}");
+    assert_eq!(res.peak_vnodes, naive.peak_vnodes, "peak vnodes: {what}");
+    assert_eq!(res.series.gini, naive.series_gini, "gini: {what}");
+    assert_eq!(res.series.idle, naive.series_idle, "idle: {what}");
+}
+
+/// The planned tick on Sybil-free rings agrees with the pop-by-pop
+/// reference end to end, with and without churn interruptions, at every
+/// shard count.
 #[test]
 fn sharded_sim_matches_naive_reference() {
     for (strategy, churn_rate) in [(StrategyKind::None, 0.0), (StrategyKind::Churn, 0.05)] {
@@ -259,54 +274,115 @@ fn sharded_sim_matches_naive_reference() {
             strategy,
             churn_rate,
             series_interval: Some(3),
-            shards: 4,
             ..SimConfig::default()
         };
         for seed in [1u64, 42, 0xA0B1_C2D3] {
-            let sharded = Sim::new(cfg.clone(), seed).run();
             let naive = NaiveSim::new(cfg.clone(), seed).run();
-            assert_eq!(sharded.ticks, naive.ticks, "{strategy:?} seed {seed}");
-            assert_eq!(
-                sharded.completed, naive.completed,
-                "{strategy:?} seed {seed}"
+            for &shards in SHARD_COUNTS {
+                let cfg = SimConfig {
+                    shards: shards as u32,
+                    ..cfg.clone()
+                };
+                let res = Sim::new(cfg, seed).run();
+                assert_matches_naive(&res, &naive, &format!("{strategy:?} seed {seed} s{shards}"));
+            }
+        }
+    }
+}
+
+/// The planned tick on rings where workers hold several vnodes — Sybils,
+/// static virtual servers, or both — must replay the pop-by-pop drain
+/// (primary, then statics, then Sybils, capacity carried across them)
+/// exactly, at every shard count. A stepped run also re-verifies after
+/// every tick that each worker's slot chain lists its vnodes in
+/// `Worker::vnodes()` order.
+#[test]
+fn planned_ticks_on_multi_vnode_rings_match_naive_reference() {
+    let base = SimConfig {
+        nodes: 80,
+        tasks: 6_000,
+        series_interval: Some(3),
+        ..SimConfig::default()
+    };
+    let cases = [
+        (
+            "random injection under churn 0.001",
+            SimConfig {
+                strategy: StrategyKind::RandomInjection,
+                churn_rate: 0.001,
+                ..base.clone()
+            },
+        ),
+        (
+            "strength per tick over Sybils",
+            SimConfig {
+                strategy: StrategyKind::RandomInjection,
+                heterogeneity: Heterogeneity::Heterogeneous,
+                work_measurement: WorkMeasurement::StrengthPerTick,
+                ..base.clone()
+            },
+        ),
+        (
+            "three static virtual servers, detached ledger",
+            SimConfig {
+                strategy: StrategyKind::None,
+                virtual_nodes_per_worker: 3,
+                series_interval: None,
+                heterogeneity: Heterogeneity::Heterogeneous,
+                work_measurement: WorkMeasurement::StrengthPerTick,
+                ..base.clone()
+            },
+        ),
+        (
+            "statics and Sybils under churn",
+            SimConfig {
+                strategy: StrategyKind::RandomInjection,
+                virtual_nodes_per_worker: 3,
+                churn_rate: 0.01,
+                heterogeneity: Heterogeneity::Heterogeneous,
+                work_measurement: WorkMeasurement::StrengthPerTick,
+                ..base.clone()
+            },
+        ),
+    ];
+    for (what, cfg) in cases {
+        for seed in [5u64, 0xBEEF] {
+            let naive = NaiveSim::new(cfg.clone(), seed).run();
+            assert!(naive.completed, "{what}");
+            for &shards in SHARD_COUNTS {
+                let cfg = SimConfig {
+                    shards: shards as u32,
+                    ..cfg.clone()
+                };
+                let res = Sim::new(cfg.clone(), seed).run();
+                assert_matches_naive(&res, &naive, &format!("{what}, seed {seed}, s{shards}"));
+            }
+            let mut sim = Sim::new(
+                SimConfig {
+                    shards: 3,
+                    ..cfg.clone()
+                },
+                seed,
             );
-            assert_eq!(
-                sharded.work_per_tick, naive.work_per_tick,
-                "{strategy:?} seed {seed}"
-            );
-            assert_eq!(
-                sharded.messages.churn_leaves, naive.churn_leaves,
-                "{strategy:?} seed {seed}"
-            );
-            assert_eq!(
-                sharded.messages.churn_joins, naive.churn_joins,
-                "{strategy:?} seed {seed}"
-            );
-            assert_eq!(
-                sharded.peak_vnodes, naive.peak_vnodes,
-                "{strategy:?} seed {seed}"
-            );
-            assert_eq!(
-                sharded.series.gini, naive.series_gini,
-                "{strategy:?} seed {seed}"
-            );
-            assert_eq!(
-                sharded.series.idle, naive.series_idle,
-                "{strategy:?} seed {seed}"
-            );
+            while sim.remaining_tasks() > 0 {
+                sim.step();
+                if let Err(e) = sim.check_invariants() {
+                    panic!("{what}, seed {seed}, tick {}: {e}", sim.tick());
+                }
+            }
+            assert_eq!(sim.tick(), naive.ticks, "{what}, seed {seed}");
         }
     }
 }
 
 /// The detached-ledger tick (nothing armed that could observe worker
 /// loads mid-run: no churn, no strategy, no sampling or snapshots)
-/// plans pops from the ring's dense columns instead of the worker
-/// table. It must stay bit-identical to the classic engine and the
-/// naive reference — under both capacity models, since the planner
-/// reads capacities from a cached column.
+/// plans pops from the ring's columns instead of the worker table. It
+/// must stay bit-identical to the naive reference at every shard count
+/// — under both capacity models, since the planner reads capacities
+/// from a cached list.
 #[test]
-fn detached_ledger_runs_match_classic_and_naive() {
-    use autobal::sim::{Heterogeneity, WorkMeasurement};
+fn detached_ledger_runs_match_naive_at_every_shard_count() {
     for (heterogeneity, work_measurement) in [
         (Heterogeneity::Homogeneous, WorkMeasurement::OnePerTick),
         (
@@ -324,28 +400,13 @@ fn detached_ledger_runs_match_classic_and_naive() {
             work_measurement,
             ..SimConfig::default()
         };
-        let solo = Sim::new(
-            SimConfig {
-                shards: 1,
-                ..base.clone()
-            },
-            99,
-        )
-        .run();
-        let naive = NaiveSim::new(
-            SimConfig {
-                shards: 1,
-                ..base.clone()
-            },
-            99,
-        )
-        .run();
-        assert_eq!(solo.ticks, naive.ticks, "{heterogeneity:?}");
-        assert_eq!(solo.work_per_tick, naive.work_per_tick, "{heterogeneity:?}");
-        for shards in [2u32, 4, 8] {
+        let naive = NaiveSim::new(base.clone(), 99).run();
+        let solo = Sim::new(base.clone(), 99).run();
+        assert_matches_naive(&solo, &naive, &format!("{heterogeneity:?}"));
+        for &shards in SHARD_COUNTS {
             let mut sim = Sim::new(
                 SimConfig {
-                    shards,
+                    shards: shards as u32,
                     ..base.clone()
                 },
                 99,
@@ -365,7 +426,7 @@ fn detached_ledger_runs_match_classic_and_naive() {
             let sharded = sim.run();
             assert_eq!(
                 head_consumed,
-                solo.work_per_tick.iter().take(3).sum::<u64>(),
+                naive.work_per_tick.iter().take(3).sum::<u64>(),
                 "{heterogeneity:?} diverged in stepped head at {shards} shards"
             );
             assert_eq!(

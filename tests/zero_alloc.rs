@@ -82,14 +82,13 @@ fn metrics_recording_ticks_do_not_allocate() {
     );
 }
 
-/// Sharding keeps the promise: with the struct-of-arrays engine
-/// selected (`shards` ≥ 2) the planned pop path — offset/count
-/// planning pass, state-stream generation, per-shard batch replay —
-/// reuses its buffers and allocates nothing per tick. Measured on a
-/// 1-thread pool because handing work to rayon's scoped threads boxes
-/// closures (a threading-infrastructure cost, not a tick-loop cost);
-/// the sequential dispatch path is the one the zero-alloc contract
-/// covers.
+/// Sharding keeps the promise: the default engine split into four
+/// shards runs the same planned pop path — per-vnode planning pass,
+/// state-stream generation, per-shard batch replay — and reuses its
+/// buffers, allocating nothing per tick. Measured on a 1-thread pool
+/// because handing work to rayon's scoped threads boxes closures (a
+/// threading-infrastructure cost, not a tick-loop cost); the sequential
+/// dispatch path is the one the zero-alloc contract covers.
 #[test]
 fn sharded_steady_state_ticks_do_not_allocate() {
     let mut cfg = steady_cfg();
@@ -118,6 +117,47 @@ fn sharded_steady_state_ticks_do_not_allocate() {
                 "sharded tick loop allocated {allocs} times over 1k ticks"
             );
         });
+}
+
+/// Sybil-holding rings keep the promise too: with random injection
+/// armed on the default engine, workers drain their primaries and then
+/// their Sybils through the planned tick, and plain (non-check) ticks
+/// allocate nothing. Check ticks are stepped outside the window — a
+/// Sybil join may grow the ring's columns, which is structural work,
+/// not tick-loop work.
+#[test]
+fn plain_ticks_on_sybil_rings_do_not_allocate() {
+    let cfg = SimConfig {
+        nodes: 200,
+        tasks: 200_000,
+        strategy: StrategyKind::RandomInjection,
+        ..SimConfig::default()
+    };
+    let every = cfg.check_interval;
+    let mut sim = Sim::new(cfg, 0xA0B1_C2D3);
+    while sim.ring().len() <= sim.active_workers() {
+        sim.step();
+    }
+    let (mut allocs, mut consumed, mut plain) = (0u64, 0u64, 0u32);
+    for _ in 0..500 {
+        if (sim.tick() + 1).is_multiple_of(every) {
+            sim.step();
+            continue;
+        }
+        let (a, c) = allocation_delta(|| sim.step());
+        allocs += a;
+        consumed += c;
+        plain += 1;
+    }
+    assert!(
+        sim.ring().len() > sim.active_workers(),
+        "window must run on a ring holding Sybils"
+    );
+    assert!(consumed > 0, "window must have done real work");
+    assert_eq!(
+        allocs, 0,
+        "plain ticks on a Sybil ring allocated {allocs} times over {plain} ticks"
+    );
 }
 
 /// The same property seen end-to-end: a full run's allocation count is
