@@ -41,7 +41,7 @@ pub mod worker;
 
 pub use config::{ChurnModel, Heterogeneity, SimConfig, StrategyKind, WorkMeasurement};
 pub use metrics::{RunResult, SimMessageStats, Snapshot, TickSeries};
-pub use ring::{Ring, RingError, MAX_SHARDS};
+pub use ring::{Merge, Ring, RingError, Split, Visit, Walk, MAX_SHARDS};
 pub use sim::Sim;
 pub use trace::{EventLog, SimEvent};
 pub use worker::{Worker, WorkerId, WorkerState};

@@ -51,7 +51,7 @@
 use crate::worker::WorkerId;
 use autobal_id::{ring as arc, Id};
 use rayon::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::ops::Bound;
 
 /// Errors from ring operations.
@@ -76,6 +76,41 @@ impl std::fmt::Display for RingError {
 }
 
 impl std::error::Error for RingError {}
+
+/// What [`Ring::insert_vnode`] did: how many keys the newcomer took, and
+/// from whose vnode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Split {
+    /// Keys the newcomer acquired from its successor.
+    pub acquired: u64,
+    /// Owner of the successor whose arc was split (`None` when the ring
+    /// was empty).
+    pub victim: Option<WorkerId>,
+}
+
+/// What [`Ring::remove_vnode`] did: whose vnode left, and where its keys
+/// went.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Merge {
+    /// Owner of the removed vnode.
+    pub owner: WorkerId,
+    /// Keys merged into the successor.
+    pub moved: u64,
+    /// The successor that took the keys (the removed id itself when it
+    /// was the last vnode).
+    pub succ: Id,
+    /// Owner of `succ`.
+    pub succ_owner: WorkerId,
+}
+
+/// One vnode as a [`Walk`] passes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Visit {
+    pub id: Id,
+    pub owner: WorkerId,
+    /// Remaining tasks at the vnode.
+    pub load: u64,
+}
 
 /// Hard cap on the shard count (a partitioning knob, not a scaling
 /// limit — more shards than cores only adds merge bookkeeping).
@@ -444,11 +479,6 @@ impl Ring {
             .map_or(0, |t| t.len() as u64)
     }
 
-    /// The worker controlling the vnode at `id`, if present.
-    pub fn vnode_owner(&self, id: Id) -> Option<WorkerId> {
-        self.owner_at(self.locate(id)?)
-    }
-
     /// Every owner's ring positions in chain (insertion) order, indexed
     /// by owner. Test/debug helper; O(vnodes).
     pub(crate) fn owner_chains(&self) -> Vec<Vec<Id>> {
@@ -471,14 +501,28 @@ impl Ring {
     /// The virtual node whose arc contains `key` (first id ≥ key,
     /// wrapping to the smallest id).
     pub fn owner_of_key(&self, key: Id) -> Option<Id> {
+        self.at_or_after(key).map(|(id, _)| id)
+    }
+
+    /// The first vnode at or clockwise after `key` (wrapping), with its
+    /// slot: one index descent.
+    fn at_or_after(&self, key: Id) -> Option<(Id, Slot)> {
         if self.len == 0 {
             return None;
         }
         let s = self.shard_idx(key);
-        if let Some(sh) = self.shards.get(s) {
-            if let Some((&id, _)) = sh.index.range(key..).next() {
-                return Some(id);
-            }
+        if let Some((&id, &idx)) = self
+            .shards
+            .get(s)
+            .and_then(|sh| sh.index.range(key..).next())
+        {
+            return Some((
+                id,
+                Slot {
+                    shard: s as u32,
+                    idx,
+                },
+            ));
         }
         self.first_nonempty_after(s)
     }
@@ -499,7 +543,7 @@ impl Ring {
                 return Some(i);
             }
         }
-        self.first_nonempty_after(s)
+        self.first_nonempty_after(s).map(|(i, _)| i)
     }
 
     /// Counter-clockwise neighbor of `id` (excluding itself).
@@ -528,55 +572,51 @@ impl Ring {
         None
     }
 
-    /// The smallest id in the first non-empty shard clockwise after
-    /// shard `s` (cyclically, ending at `s` itself). Ids in shards
-    /// after `s` all sort above shard `s`'s arc, so this is both "next
-    /// id after the arc" and, once wrapped past the top, the global
-    /// minimum.
-    fn first_nonempty_after(&self, s: usize) -> Option<Id> {
+    /// The smallest id, with its slot, in the first non-empty shard
+    /// clockwise after shard `s` (cyclically, ending at `s` itself). Ids
+    /// in shards after `s` all sort above shard `s`'s arc, so this is
+    /// both "next id after the arc" and, once wrapped past the top, the
+    /// global minimum.
+    fn first_nonempty_after(&self, s: usize) -> Option<(Id, Slot)> {
         let n = self.shards.len();
         for d in 1..=n {
             let t = (s + d) % n;
-            if let Some(sh) = self.shards.get(t) {
-                if let Some((&i, _)) = sh.index.iter().next() {
-                    return Some(i);
-                }
+            if let Some((&i, &idx)) = self.shards.get(t).and_then(|sh| sh.index.iter().next()) {
+                return Some((
+                    i,
+                    Slot {
+                        shard: t as u32,
+                        idx,
+                    },
+                ));
             }
         }
         None
     }
 
-    /// Up to `k` distinct clockwise successors of `id`, nearest first,
-    /// stopping early if the walk wraps back to `id`.
-    pub fn successors(&self, id: Id, k: usize) -> Vec<Id> {
-        let mut out = Vec::with_capacity(k);
-        let mut cur = id;
-        for _ in 0..k {
-            match self.successor_of(cur) {
-                Some(s) if s != id => {
-                    out.push(s);
-                    cur = s;
-                }
-                _ => break,
-            }
-        }
-        out
+    /// The clockwise walk away from `id`, nearest first: one index
+    /// descent, then plain iteration across the shards. It ends when it
+    /// comes back round to `id`; an absent `id` is never met, so the
+    /// walk repeats the ring — exactly the ids that stepping
+    /// [`Ring::successor_of`] from `id` visits.
+    pub fn successor_walk(&self, id: Id) -> Walk<'_> {
+        Walk::new(self, id, true)
     }
 
-    /// Up to `k` distinct counter-clockwise predecessors, nearest first.
+    /// The counter-clockwise mirror of [`Ring::successor_walk`].
+    pub fn predecessor_walk(&self, id: Id) -> Walk<'_> {
+        Walk::new(self, id, false)
+    }
+
+    /// Up to `k` clockwise successors of `id`, nearest first, stopping
+    /// early if the walk wraps back to `id`.
+    pub fn successors(&self, id: Id, k: usize) -> Vec<Id> {
+        self.successor_walk(id).take(k).map(|v| v.id).collect()
+    }
+
+    /// Up to `k` counter-clockwise predecessors, nearest first.
     pub fn predecessors(&self, id: Id, k: usize) -> Vec<Id> {
-        let mut out = Vec::with_capacity(k);
-        let mut cur = id;
-        for _ in 0..k {
-            match self.predecessor_of(cur) {
-                Some(p) if p != id => {
-                    out.push(p);
-                    cur = p;
-                }
-                _ => break,
-            }
-        }
-        out
+        self.predecessor_walk(id).take(k).map(|v| v.id).collect()
     }
 
     /// Files a new vnode in shard `s` and appends it to its owner's
@@ -608,23 +648,22 @@ impl Ring {
 
     /// Inserts a virtual node at `id` for `owner`, splitting the
     /// successor's task set: keys in `(old predecessor, id]` move to the
-    /// newcomer, which joins the tail of `owner`'s chain. Returns how
-    /// many tasks were acquired. The successor may live in any shard.
-    pub fn insert_vnode(&mut self, id: Id, owner: WorkerId) -> Result<u64, RingError> {
-        if self.contains(id) {
+    /// newcomer, which joins the tail of `owner`'s chain. The successor
+    /// may live in any shard. One range lookup finds "occupied or
+    /// successor", so a join costs that descent plus the index insert.
+    pub fn insert_vnode(&mut self, id: Id, owner: WorkerId) -> Result<Split, RingError> {
+        let s = self.shard_idx(id);
+        let Some((succ, at)) = self.at_or_after(id) else {
+            self.file(s, id, owner, Vec::new());
+            return Ok(Split {
+                acquired: 0,
+                victim: None,
+            });
+        };
+        if succ == id {
             return Err(RingError::Occupied(id));
         }
-        let s = self.shard_idx(id);
-        if self.len == 0 {
-            self.file(s, id, owner, Vec::new());
-            return Ok(0);
-        }
-        let Some(succ) = self.owner_of_key(id) else {
-            return Err(RingError::Unknown(id));
-        };
-        let Some(at) = self.locate(succ) else {
-            return Err(RingError::Unknown(succ));
-        };
+        let victim = self.owner_at(at);
         let Ring {
             shards, scratch, ..
         } = self;
@@ -651,15 +690,32 @@ impl Ring {
         let mut tasks = self.pool.pop().unwrap_or_default();
         tasks.extend_from_slice(&self.scratch);
         self.file(s, id, owner, tasks);
-        Ok(acquired)
+        Ok(Split { acquired, victim })
     }
 
     /// Removes the virtual node at `id`, merging its remaining tasks
-    /// into its successor (which may live in any shard). Returns
-    /// `(owner, tasks_moved, successor)`.
-    pub fn remove_vnode(&mut self, id: Id) -> Result<(WorkerId, u64, Id), RingError> {
-        let Some(at) = self.locate(id) else {
-            return Err(RingError::Unknown(id));
+    /// into its successor (which may live in any shard). One range
+    /// lookup finds both the vnode and, unless it ends its shard, its
+    /// successor.
+    pub fn remove_vnode(&mut self, id: Id) -> Result<Merge, RingError> {
+        let s = self.shard_idx(id);
+        let slot = |idx| Slot {
+            shard: s as u32,
+            idx,
+        };
+        let (at, next) = {
+            let mut from = self
+                .shards
+                .get(s)
+                .map(|sh| sh.index.range(id..))
+                .into_iter()
+                .flatten();
+            match from.next() {
+                Some((&i, &idx)) if i == id => {
+                    (slot(idx), from.next().map(|(&n, &ni)| (n, slot(ni))))
+                }
+                _ => return Err(RingError::Unknown(id)),
+            }
         };
         if self.len == 1 {
             if self.queue(at).is_some_and(|t| !t.is_empty()) {
@@ -669,20 +725,33 @@ impl Ring {
                 return Err(RingError::Unknown(id));
             };
             self.recycle(tasks);
-            return Ok((owner, 0, id));
+            return Ok(Merge {
+                owner,
+                moved: 0,
+                succ: id,
+                succ_owner: owner,
+            });
         }
-        let Some(succ) = self.successor_of(id) else {
+        let Some((succ, succ_at)) = next.or_else(|| self.first_nonempty_after(s)) else {
             return Err(RingError::Unknown(id));
+        };
+        let Some(succ_owner) = self.owner_at(succ_at) else {
+            return Err(RingError::Unknown(succ));
         };
         let Some((owner, tasks)) = self.unfile(id, at) else {
             return Err(RingError::Unknown(id));
         };
         let moved = tasks.len() as u64;
-        if let Some(tv) = self.locate(succ).and_then(|s| self.queue_mut(s)) {
+        if let Some(tv) = self.queue_mut(succ_at) {
             tv.extend_from_slice(&tasks);
         }
         self.recycle(tasks);
-        Ok((owner, moved, succ))
+        Ok(Merge {
+            owner,
+            moved,
+            succ,
+            succ_owner,
+        })
     }
 
     /// Parks a retired task vector for reuse by a later split.
@@ -994,6 +1063,114 @@ impl Ring {
     }
 }
 
+/// An ordered walk around the ring away from an origin id, clockwise
+/// ([`Ring::successor_walk`]) or counter-clockwise
+/// ([`Ring::predecessor_walk`]), yielding each vnode with its owner and
+/// load read straight from the slot columns.
+///
+/// A lap is `n + 1` segments for `n` shards: the origin's shard beyond
+/// the origin, the other shards in walk order, then the origin's shard
+/// back up to and including the origin. Only the two segments bounded
+/// by the origin search the index; the others start at a shard's end.
+/// A walk that ends before coming back round to the origin's shard
+/// therefore costs one descent. Meeting the origin ends the walk; an absent origin is never met, so
+/// laps repeat.
+#[derive(Debug, Clone)]
+pub struct Walk<'a> {
+    ring: &'a Ring,
+    origin: Id,
+    clockwise: bool,
+    /// The origin's shard.
+    home: usize,
+    /// Segments entered so far.
+    seg: usize,
+    /// The current segment's shard and its remaining range.
+    cur: Option<(&'a Shard, btree_map::Range<'a, Id, u32>)>,
+    /// Segments entered since the last yield.
+    idle: usize,
+    done: bool,
+}
+
+impl<'a> Walk<'a> {
+    fn new(ring: &'a Ring, origin: Id, clockwise: bool) -> Walk<'a> {
+        let home = ring.shard_idx(origin);
+        let mut walk = Walk {
+            ring,
+            origin,
+            clockwise,
+            home,
+            seg: 0,
+            cur: None,
+            idle: 0,
+            done: ring.len == 0,
+        };
+        walk.enter();
+        walk
+    }
+
+    /// Opens segment `self.seg` of the current lap.
+    fn enter(&mut self) {
+        use Bound::{Excluded, Included, Unbounded};
+        let n = self.ring.shards.len();
+        let (o, home) = (self.origin, self.home);
+        let (shard, bounds) = match (self.seg % (n + 1), self.clockwise) {
+            (0, true) => (home, (Excluded(o), Unbounded)),
+            (0, false) => (home, (Unbounded, Excluded(o))),
+            (lap, true) if lap == n => (home, (Unbounded, Included(o))),
+            (lap, false) if lap == n => (home, (Included(o), Unbounded)),
+            (lap, true) => ((home + lap) % n, (Unbounded, Unbounded)),
+            (lap, false) => ((home + n - lap) % n, (Unbounded, Unbounded)),
+        };
+        self.cur = self
+            .ring
+            .shards
+            .get(shard)
+            .map(|sh| (sh, sh.index.range(bounds)));
+    }
+}
+
+impl Iterator for Walk<'_> {
+    type Item = Visit;
+
+    fn next(&mut self) -> Option<Visit> {
+        let n = self.ring.shards.len();
+        while !self.done {
+            let step = match self.cur.as_mut() {
+                Some((sh, range)) => {
+                    let e = if self.clockwise {
+                        range.next()
+                    } else {
+                        range.next_back()
+                    };
+                    e.map(|(&id, &idx)| (*sh, id, idx as usize))
+                }
+                None => None,
+            };
+            match step {
+                Some((_, id, _)) if id == self.origin => self.done = true,
+                Some((sh, id, i)) => {
+                    self.idle = 0;
+                    return Some(Visit {
+                        id,
+                        owner: sh.owners.get(i).copied().unwrap_or(FREE_OWNER),
+                        load: sh.tasks.get(i).map_or(0, |t| t.len() as u64),
+                    });
+                }
+                // A whole lap of empty segments: nothing left to yield.
+                None if self.idle > n => self.done = true,
+                None => {
+                    self.idle += 1;
+                    self.seg += 1;
+                    self.enter();
+                }
+            }
+        }
+        None
+    }
+}
+
+impl std::iter::FusedIterator for Walk<'_> {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1046,6 +1223,11 @@ mod tests {
         assert_eq!(r.successors(id(100), 5), vec![id(200), id(300)]);
         assert_eq!(r.predecessors(id(100), 5), vec![id(300), id(200)]);
         assert_eq!(r.successors(id(100), 1), vec![id(200)]);
+        // From an absent id the walk never comes back round: it repeats.
+        assert_eq!(
+            r.successors(id(150), 5),
+            [200, 300, 100, 200, 300].map(id).to_vec()
+        );
     }
 
     #[test]
@@ -1066,10 +1248,16 @@ mod tests {
         r.assign_tasks(vec![id(150), id(250), id(280)]);
         assert_eq!(r.load(id(300)), 3);
         // New vnode at 260 takes keys in (100, 260] = {150, 250}.
-        assert_eq!(r.insert_vnode(id(260), 9), Ok(2));
+        assert_eq!(
+            r.insert_vnode(id(260), 9),
+            Ok(Split {
+                acquired: 2,
+                victim: Some(1)
+            })
+        );
         assert_eq!(r.load(id(260)), 2);
         assert_eq!(r.load(id(300)), 1);
-        assert_eq!(r.vnode_owner(id(260)), Some(9));
+        assert_eq!(r.owner_chains().get(9), Some(&vec![id(260)]));
         assert_eq!(
             r.insert_vnode(id(260), 1),
             Err(RingError::Occupied(id(260)))
@@ -1081,9 +1269,15 @@ mod tests {
     fn remove_vnode_merges_into_successor_across_the_wrap() {
         let mut r = ring_with(&[100, 200, 300]);
         r.assign_tasks(vec![id(150), id(160), id(250), id(350)]);
-        assert_eq!(r.remove_vnode(id(200)), Ok((1, 2, id(300))));
+        let merge = |owner, moved, succ, succ_owner| Merge {
+            owner,
+            moved,
+            succ: id(succ),
+            succ_owner,
+        };
+        assert_eq!(r.remove_vnode(id(200)), Ok(merge(1, 2, 300, 2)));
         assert_eq!(r.load(id(300)), 3);
-        assert_eq!(r.remove_vnode(id(300)), Ok((2, 3, id(100))));
+        assert_eq!(r.remove_vnode(id(300)), Ok(merge(2, 3, 100, 0)));
         assert_eq!(r.load(id(100)), 4);
         assert_eq!(r.total_tasks(), 4);
         r.check_invariants().unwrap();
@@ -1099,7 +1293,15 @@ mod tests {
         assert!(r.pop_task(at));
         assert!(!r.pop_task(at));
         assert!(!r.pop_task(id(999)));
-        assert_eq!(r.remove_vnode(at), Ok((0, 0, at)));
+        assert_eq!(
+            r.remove_vnode(at),
+            Ok(Merge {
+                owner: 0,
+                moved: 0,
+                succ: at,
+                succ_owner: 0
+            })
+        );
         assert!(r.is_empty());
         assert_eq!(r.remove_vnode(at), Err(RingError::Unknown(at)));
         r.check_invariants().unwrap();
@@ -1110,7 +1312,7 @@ mod tests {
         let mut r = ring_with(&[1000]);
         r.assign_tasks((1..=9u128).map(|v| id(v * 100)).collect());
         assert_eq!(r.median_task_key(id(1000)), Some(id(500)));
-        assert_eq!(r.insert_vnode(id(500), 7), Ok(5));
+        assert_eq!(r.insert_vnode(id(500), 7).map(|s| s.acquired), Ok(5));
         // Wrap arc (300, 100]: keys 400, 500, 50 in ring order.
         let mut w = ring_with(&[100, 300]);
         w.assign_tasks(vec![id(400), id(500), id(50)]);

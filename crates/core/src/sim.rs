@@ -6,7 +6,7 @@ use crate::ring::{Ring, RingError};
 use crate::strategy::{
     invitation::{pick_helper, HelperCandidate},
     ActionError, Actions, ChurnOps, InviteOutcome, LocalView, OracleView, Strategy, StrategyParams,
-    StrategyStack, Substrate,
+    StrategyStack, Substrate, SuccList,
 };
 use crate::trace::{EventLog, SimEvent};
 use crate::worker::{Worker, WorkerId, WorkerState};
@@ -17,6 +17,8 @@ use autobal_metrics::{
 use autobal_stats::rng::{domains, substream, DetRng};
 use autobal_telemetry::{MessageStatus, Trace, TraceSink};
 use rand::Rng;
+use std::cell::RefCell;
+use std::collections::VecDeque;
 
 /// One simulated network executing a distributed computation.
 ///
@@ -28,8 +30,9 @@ pub struct Sim {
     pub(crate) cfg: SimConfig,
     pub(crate) ring: Ring,
     pub(crate) workers: Vec<Worker>,
-    /// Worker ids currently parked in the churn waiting pool.
-    pub(crate) waiting: Vec<WorkerId>,
+    /// Worker ids currently parked in the churn waiting pool, in join
+    /// trial order (a queue the churn layer rotates in place).
+    pub(crate) waiting: VecDeque<WorkerId>,
     pub(crate) tick: u64,
     pub(crate) msgs: SimMessageStats,
     pub(crate) rng_churn: DetRng,
@@ -72,6 +75,11 @@ pub struct Sim {
     /// Strategy layers dispatched each tick/check (trait objects from
     /// [`crate::strategy::stack_for`]).
     strategies: StrategyStack,
+    /// `(id, load)` of every successor the current decision's
+    /// successor-list walk passed, so its load queries need no index
+    /// descent. Emptied when a decision starts and on every tracked
+    /// ring mutation; a reusable buffer, so decisions never allocate.
+    walk_loads: RefCell<SuccList<(Id, u64)>>,
 }
 
 impl Sim {
@@ -151,11 +159,11 @@ impl Sim {
 
         // The churn waiting pool "begins at the same initial size as the
         // network" (§IV-A); it only matters when churn is possible.
-        let mut waiting = Vec::new();
+        let mut waiting = VecDeque::new();
         if cfg.churn_enabled() {
             for _ in 0..cfg.nodes {
                 let s = draw_strength(&mut strength_rng);
-                waiting.push(workers.len());
+                waiting.push_back(workers.len());
                 workers.push(Worker::waiting(s));
             }
         }
@@ -217,6 +225,7 @@ impl Sim {
             events: EventLog::new(cfg_record_events),
             trace,
             strategies,
+            walk_loads: RefCell::new(SuccList::new()),
         }
     }
 
@@ -389,9 +398,10 @@ impl Sim {
         self.peak_vnodes = self.peak_vnodes.max(self.ring.len());
         // Strict builds re-verify the ring's structural invariants every
         // tick — a step that corrupts the ring fails at the tick that
-        // caused it, not at the test that later trips over it.
+        // caused it, not at the test that later trips over it. Release
+        // builds with `strict` check too.
         #[cfg(feature = "strict")]
-        debug_assert!(
+        assert!(
             self.check_invariants().is_ok(),
             "ring invariants violated at tick {}",
             self.tick
@@ -532,14 +542,8 @@ impl Sim {
     /// pool.
     pub(crate) fn worker_leave(&mut self, idx: WorkerId) {
         debug_assert!(self.workers[idx].is_active());
-        let sybils = std::mem::take(&mut self.workers[idx].sybils);
-        for s in sybils {
-            let _ = self.remove_vnode_tracked(s);
-        }
-        let statics = std::mem::take(&mut self.workers[idx].statics);
-        for s in statics {
-            let _ = self.remove_vnode_tracked(s);
-        }
+        self.remove_all_tracked(idx, |w| &mut w.sybils);
+        self.remove_all_tracked(idx, |w| &mut w.statics);
         let primary = self.workers[idx].primary;
         let _ = self.remove_vnode_tracked(primary);
         if self.dist_on {
@@ -549,7 +553,7 @@ impl Sim {
         debug_assert_eq!(self.workers[idx].load, 0);
         self.workers[idx].load = 0;
         self.active_count -= 1;
-        self.waiting.push(idx);
+        self.waiting.push_back(idx);
         self.msgs.churn_leaves += 1;
         let tick = self.tick;
         self.emit_event(SimEvent::WorkerLeft { tick, worker: idx });
@@ -609,10 +613,11 @@ impl Sim {
         pos: Id,
         owner: WorkerId,
     ) -> Result<u64, RingError> {
-        let acquired = self.ring.insert_vnode(pos, owner)?;
+        self.walk_loads.get_mut().clear();
+        let split = self.ring.insert_vnode(pos, owner)?;
+        let acquired = split.acquired;
         if acquired > 0 {
-            let victim_vnode = self.ring.successor_of(pos).expect("successor after split");
-            let victim_owner = self.ring.vnode_owner(victim_vnode).expect("vnode");
+            let victim_owner = split.victim.expect("a split has a victim");
             // Mirror both load deltas into the incremental distribution
             // (a self-transfer is a net no-op there).
             if self.dist_on && victim_owner != owner {
@@ -629,9 +634,10 @@ impl Sim {
 
     /// Removes a virtual node, updating both owners' load caches.
     pub(crate) fn remove_vnode_tracked(&mut self, pos: Id) -> Result<u64, RingError> {
-        let (owner, moved, succ) = self.ring.remove_vnode(pos)?;
+        self.walk_loads.get_mut().clear();
+        let merge = self.ring.remove_vnode(pos)?;
+        let (owner, moved, succ_owner) = (merge.owner, merge.moved, merge.succ_owner);
         if moved > 0 {
-            let succ_owner = self.ring.vnode_owner(succ).expect("successor");
             if self.dist_on && succ_owner != owner {
                 let o = self.workers[owner].load;
                 let s = self.workers[succ_owner].load;
@@ -667,11 +673,7 @@ impl Sim {
     /// All of `owner`'s Sybils quit the network (§IV-B: "If a node has at
     /// least one Sybil, but no work, it has its Sybils quit").
     pub(crate) fn retire_sybils(&mut self, owner: WorkerId) {
-        let sybils = std::mem::take(&mut self.workers[owner].sybils);
-        let n = sybils.len() as u64;
-        for s in sybils {
-            let _ = self.remove_vnode_tracked(s);
-        }
+        let n = self.remove_all_tracked(owner, |w| &mut w.sybils) as u64;
         self.msgs.sybils_retired += n;
         if n > 0 {
             let tick = self.tick;
@@ -681,6 +683,25 @@ impl Sim {
                 count: n as u32,
             });
         }
+    }
+
+    /// Removes every vnode in the list `field` picks out of `owner`'s
+    /// record, emptying the list but keeping its capacity for the next
+    /// Sybils or statics. Returns how many were removed.
+    fn remove_all_tracked(
+        &mut self,
+        owner: WorkerId,
+        field: fn(&mut Worker) -> &mut Vec<Id>,
+    ) -> usize {
+        let list = std::mem::take(field(&mut self.workers[owner]));
+        for &v in &list {
+            let _ = self.remove_vnode_tracked(v);
+        }
+        let n = list.len();
+        let slot = field(&mut self.workers[owner]);
+        *slot = list;
+        slot.clear();
+        n
     }
 
     /// Whether `idx` is eligible to create a new Sybil right now:
@@ -709,7 +730,14 @@ impl Sim {
 
     /// The per-node strategy context for `worker` (oracle-ring flavor).
     pub(crate) fn node_ctx(&mut self, worker: WorkerId) -> SimNodeCtx<'_> {
+        self.walk_loads.get_mut().clear();
         SimNodeCtx { sim: self, worker }
+    }
+
+    /// The first active worker at index `from` or later.
+    fn next_active(&self, from: WorkerId) -> Option<WorkerId> {
+        let rest = self.workers.get(from..)?;
+        rest.iter().position(Worker::is_active).map(|i| from + i)
     }
 
     /// Debug helper: verify load caches against the ring (O(vnodes)).
@@ -735,10 +763,8 @@ impl Sim {
 // ---- strategy dispatch surfaces -----------------------------------
 
 impl Substrate for Sim {
-    fn decision_order(&self) -> Vec<WorkerId> {
-        (0..self.workers.len())
-            .filter(|&i| self.workers[i].is_active())
-            .collect()
+    fn next_in_order(&self, from: WorkerId) -> Option<WorkerId> {
+        self.next_active(from)
     }
 
     fn check_worker(&mut self, w: WorkerId, strategy: &dyn Strategy) {
@@ -763,10 +789,8 @@ impl Substrate for Sim {
 }
 
 impl ChurnOps for Sim {
-    fn leave_candidates(&self) -> Vec<WorkerId> {
-        (0..self.workers.len())
-            .filter(|&i| self.workers[i].is_active())
-            .collect()
+    fn next_leave_candidate(&self, from: WorkerId) -> Option<WorkerId> {
+        self.next_active(from)
     }
 
     fn active_count(&self) -> usize {
@@ -781,12 +805,16 @@ impl ChurnOps for Sim {
         self.worker_leave(w);
     }
 
-    fn take_waiting(&mut self) -> Vec<WorkerId> {
-        std::mem::take(&mut self.waiting)
+    fn waiting_len(&self) -> usize {
+        self.waiting.len()
+    }
+
+    fn pop_waiting(&mut self) -> Option<WorkerId> {
+        self.waiting.pop_front()
     }
 
     fn requeue_waiting(&mut self, w: WorkerId) {
-        self.waiting.push(w);
+        self.waiting.push_back(w);
     }
 
     fn rejoin(&mut self, w: WorkerId) {
@@ -873,11 +901,24 @@ impl LocalView for SimNodeCtx<'_> {
             .collect()
     }
 
-    fn successor_list(&self) -> Vec<Id> {
-        let primary = self.sim.workers[self.worker].primary;
-        self.sim
+    /// One ordered ring walk; it also captures each successor's load so
+    /// this decision's [`Actions::query_load`] calls answer without
+    /// another descent.
+    fn successor_list(&self) -> SuccList {
+        let sim = &*self.sim;
+        let primary = sim.workers[self.worker].primary;
+        let mut loads = sim.walk_loads.borrow_mut();
+        loads.clear();
+        let mut ids = SuccList::new();
+        for v in sim
             .ring
-            .successors(primary, self.sim.cfg.num_successors)
+            .successor_walk(primary)
+            .take(sim.cfg.num_successors)
+        {
+            ids.push(v.id);
+            loads.push((v.id, v.load));
+        }
+        ids
     }
 }
 
@@ -889,7 +930,16 @@ impl Actions for SimNodeCtx<'_> {
     // pre-fault-plane code under every strategy.
     fn query_load(&mut self, neighbor: Id) -> Result<u64, ActionError> {
         self.sim.msgs.load_queries += 1;
-        let load = self.sim.ring.load(neighbor);
+        let captured = self
+            .sim
+            .walk_loads
+            .get_mut()
+            .iter()
+            .find(|e| e.0 == neighbor);
+        let load = match captured {
+            Some(&(_, load)) => load,
+            None => self.sim.ring.load(neighbor),
+        };
         self.sim
             .trace
             .message(self.sim.tick, "load_query", MessageStatus::Delivered, 0);
@@ -933,10 +983,25 @@ impl Actions for SimNodeCtx<'_> {
     fn invite(&mut self, hot: Id) -> InviteOutcome {
         let sim = &mut *self.sim;
         let inviter = self.worker;
-        let preds = sim.ring.predecessors(hot, sim.cfg.num_successors);
-        if preds.is_empty() {
+        let mut preds = sim
+            .ring
+            .predecessor_walk(hot)
+            .take(sim.cfg.num_successors)
+            .peekable();
+        if preds.peek().is_none() {
             return InviteOutcome::NoNeighbors;
         }
+        // Offer the eligible predecessors in list order; the walk reads
+        // each one's owner straight from the ring.
+        let candidates: Vec<HelperCandidate> = preds
+            .map(|v| v.owner)
+            .filter(|&o| o != inviter && sim.worker_can_spawn_sybil(o))
+            .map(|o| HelperCandidate {
+                worker: o,
+                strength: sim.workers[o].strength,
+                load: sim.workers[o].load,
+            })
+            .collect();
         sim.msgs.invitations_sent += 1;
         let tick = sim.tick;
         sim.trace
@@ -946,26 +1011,7 @@ impl Actions for SimNodeCtx<'_> {
             tick,
             worker: inviter,
         });
-        // Offer the eligible predecessors in list order; an unmapped
-        // vnode (impossible on a consistent ring) voids the whole round.
-        let candidates: Option<Vec<HelperCandidate>> = preds
-            .iter()
-            .map(|&p| sim.ring.vnode_owner(p))
-            .collect::<Option<Vec<WorkerId>>>()
-            .map(|owners| {
-                owners
-                    .into_iter()
-                    .filter(|&o| o != inviter && sim.worker_can_spawn_sybil(o))
-                    .map(|o| HelperCandidate {
-                        worker: o,
-                        strength: sim.workers[o].strength,
-                        load: sim.workers[o].load,
-                    })
-                    .collect()
-            });
-        let helper = candidates
-            .as_deref()
-            .and_then(|c| pick_helper(c, sim.cfg.strength_aware_invitation));
+        let helper = pick_helper(&candidates, sim.cfg.strength_aware_invitation);
         match helper {
             Some(helper) => {
                 let pos = sim.split_position(hot).expect("ring non-trivial");

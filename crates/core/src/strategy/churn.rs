@@ -33,16 +33,23 @@ impl Strategy for BackgroundChurn {
     fn on_tick(&self, ops: &mut dyn ChurnOps) {
         // Leaves. The last active node never leaves (the network would
         // vanish), and its trial is skipped, not drawn.
-        for idx in ops.leave_candidates() {
+        let mut next = ops.next_leave_candidate(0);
+        while let Some(idx) = next {
             if ops.active_count() <= 1 {
                 break;
             }
             if ops.flip(self.leave_p) {
                 ops.depart(idx);
             }
+            next = ops.next_leave_candidate(idx + 1);
         }
-        // Joins.
-        for idx in ops.take_waiting() {
+        // Joins: one trial per worker waiting at the start of the phase,
+        // front to back. Non-joiners (and failed joins) go to the back,
+        // so the pool comes out in the order it went in.
+        for _ in 0..ops.waiting_len() {
+            let Some(idx) = ops.pop_waiting() else {
+                break;
+            };
             if ops.flip(self.join_p) {
                 ops.rejoin(idx);
             } else {

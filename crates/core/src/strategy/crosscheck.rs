@@ -20,7 +20,8 @@
 //! substrate and thread count.
 
 use super::{
-    ActionError, Actions, ChurnOps, LocalView, NodeContext, Strategy, StrategyParams, StrategyScope,
+    ActionError, Actions, ChurnOps, LocalView, NodeContext, Strategy, StrategyParams,
+    StrategyScope, SuccList,
 };
 use autobal_id::Id;
 use std::collections::{BTreeMap, BTreeSet};
@@ -207,7 +208,7 @@ impl LocalView for CheckedCtx<'_> {
     fn own_vnode_loads(&self) -> Vec<(Id, u64)> {
         self.inner.own_vnode_loads()
     }
-    fn successor_list(&self) -> Vec<Id> {
+    fn successor_list(&self) -> SuccList {
         self.inner.successor_list()
     }
 }
@@ -223,10 +224,11 @@ impl Actions for CheckedCtx<'_> {
         let direct = self.inner.query_load(neighbor);
         // … then up to `k` second opinions via distinct relays, walking
         // the successor list in its deterministic order.
-        let relays: Vec<Id> = self
+        let relays: SuccList = self
             .inner
             .successor_list()
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|r| *r != neighbor && !self.state.quarantined.contains(r))
             .take(self.cfg.k)
             .collect();
@@ -234,7 +236,7 @@ impl Actions for CheckedCtx<'_> {
         if let Ok(v) = direct {
             reports.push((neighbor, v));
         }
-        for relay in relays {
+        for &relay in &relays {
             if let Ok(v) = self.inner.query_load_via(relay, neighbor) {
                 reports.push((relay, v));
             }
@@ -346,8 +348,8 @@ mod tests {
         fn own_vnode_loads(&self) -> Vec<(Id, u64)> {
             vec![(Id::from(0u64), 0)]
         }
-        fn successor_list(&self) -> Vec<Id> {
-            self.succs.clone()
+        fn successor_list(&self) -> SuccList {
+            self.succs.iter().copied().collect()
         }
     }
 

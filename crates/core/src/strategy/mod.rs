@@ -46,6 +46,9 @@ pub mod invitation;
 pub mod neighbor;
 pub mod oracle;
 pub mod random;
+mod succ_list;
+
+pub use succ_list::SuccList;
 
 use crate::config::{SimConfig, StrategyKind};
 use crate::worker::WorkerId;
@@ -84,7 +87,9 @@ pub trait LocalView {
     /// primary first, then static virtual servers, then Sybils.
     fn own_vnode_loads(&self) -> Vec<(Id, u64)>;
     /// The primary's successor list, nearest first (free: Chord state).
-    fn successor_list(&self) -> Vec<Id>;
+    /// Returned inline, so asking for it allocates nothing unless the
+    /// list is longer than 16 entries.
+    fn successor_list(&self) -> SuccList;
 }
 
 /// Why a strategy action failed. The oracle-ring substrate only ever
@@ -184,19 +189,26 @@ impl<T: LocalView + Actions + ?Sized> NodeContext for T {}
 
 /// Population-churn surface (§IV-A), exercised once per tick by
 /// [`churn::BackgroundChurn`]. Methods mirror the simulator's original
-/// churn loop exactly, RNG draw for RNG draw.
+/// churn loop exactly, RNG draw for RNG draw. Both phases walk the
+/// population in place (a cursor over the worker table, a rotation of
+/// the waiting queue), so a churn tick builds no candidate list.
 pub trait ChurnOps {
-    /// Active workers eligible to leave this tick, in decision order.
-    fn leave_candidates(&self) -> Vec<WorkerId>;
+    /// The first worker at index `from` or later that may leave this
+    /// tick, in decision order. A departure only deactivates the
+    /// departing worker, so stepping this cursor past each visited
+    /// worker sees the candidates a start-of-phase snapshot would.
+    fn next_leave_candidate(&self, from: WorkerId) -> Option<WorkerId>;
     /// Current active population.
     fn active_count(&self) -> usize;
     /// One Bernoulli trial against the churn RNG stream.
     fn flip(&mut self, p: f64) -> bool;
     /// `w` departs: its vnodes dissolve and it enters the waiting pool.
     fn depart(&mut self, w: WorkerId);
-    /// Drains the waiting pool for this tick's join trials.
-    fn take_waiting(&mut self) -> Vec<WorkerId>;
-    /// Returns a non-joiner to the waiting pool.
+    /// Workers in the waiting pool: this tick's join trials.
+    fn waiting_len(&self) -> usize;
+    /// Takes the worker at the front of the waiting pool for its trial.
+    fn pop_waiting(&mut self) -> Option<WorkerId>;
+    /// Returns a non-joiner to the back of the waiting pool.
     fn requeue_waiting(&mut self, w: WorkerId);
     /// `w` rejoins at a fresh random position, acquiring its arc's work.
     fn rejoin(&mut self, w: WorkerId);
@@ -258,9 +270,12 @@ pub trait Strategy: Send + Sync {
 /// internally and passes it to the strategy, so implementations need no
 /// associated types.
 pub trait Substrate {
-    /// Active workers in decision order (the order the original
-    /// simulator iterated them: worker-table order, inactive skipped).
-    fn decision_order(&self) -> Vec<WorkerId>;
+    /// The first active worker at index `from` or later: a cursor over
+    /// the decision order (the order the original simulator iterated
+    /// them: worker-table order, inactive skipped). No check changes
+    /// which workers are active, so walking the cursor during a check
+    /// phase visits exactly the workers active when it began.
+    fn next_in_order(&self, from: WorkerId) -> Option<WorkerId>;
     /// Runs `strategy.check_node` with `w`'s local context.
     fn check_worker(&mut self, w: WorkerId, strategy: &dyn Strategy);
     /// Runs `strategy.check_global` with the omniscient view, if this
@@ -338,8 +353,10 @@ impl StrategyStack {
             match layer.scope() {
                 StrategyScope::TickOnly => {}
                 StrategyScope::PerNode => {
-                    for w in sub.decision_order() {
+                    let mut next = sub.next_in_order(0);
+                    while let Some(w) = next {
                         sub.check_worker(w, layer.as_ref());
+                        next = sub.next_in_order(w + 1);
                     }
                 }
                 StrategyScope::Omniscient => {

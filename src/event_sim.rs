@@ -55,7 +55,7 @@ use autobal_core::strategy::{
     crosscheck::wrap_if_enabled,
     invitation::{pick_helper, HelperCandidate},
     strategy_for, ActionError, Actions, ChurnOps, InviteOutcome, LocalView, Strategy,
-    StrategyParams, StrategyStack, Substrate,
+    StrategyParams, StrategyStack, Substrate, SuccList,
 };
 use autobal_core::trace::{EventLog, SimEvent};
 use autobal_core::StrategyKind;
@@ -192,7 +192,7 @@ struct EventSubstrate {
     net: Network,
     wire: EventNet,
     workers: Vec<EWorker>,
-    waiting: Vec<usize>,
+    waiting: VecDeque<usize>,
     owner_of: BTreeMap<Id, usize>,
     params: StrategyParams,
     max_sybils: u32,
@@ -645,13 +645,9 @@ impl EventSubstrate {
 }
 
 impl Substrate for EventSubstrate {
-    fn decision_order(&self) -> Vec<usize> {
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.active)
-            .map(|(i, _)| i)
-            .collect()
+    fn next_in_order(&self, from: usize) -> Option<usize> {
+        let rest = self.workers.get(from..)?;
+        rest.iter().position(|p| p.active).map(|i| from + i)
     }
 
     fn check_worker(&mut self, w: usize, strategy: &dyn Strategy) {
@@ -676,8 +672,8 @@ impl Substrate for EventSubstrate {
 }
 
 impl ChurnOps for EventSubstrate {
-    fn leave_candidates(&self) -> Vec<usize> {
-        self.decision_order()
+    fn next_leave_candidate(&self, from: usize) -> Option<usize> {
+        self.next_in_order(from)
     }
 
     fn active_count(&self) -> usize {
@@ -708,23 +704,27 @@ impl ChurnOps for EventSubstrate {
             p.active = false;
         }
         self.active_count = self.active_count.saturating_sub(1);
-        self.waiting.push(w);
+        self.waiting.push_back(w);
         self.rewire_if_degenerate();
         let tick = self.tick;
         self.emit_event(SimEvent::WorkerLeft { tick, worker: w });
     }
 
-    fn take_waiting(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.waiting)
+    fn waiting_len(&self) -> usize {
+        self.waiting.len()
+    }
+
+    fn pop_waiting(&mut self) -> Option<usize> {
+        self.waiting.pop_front()
     }
 
     fn requeue_waiting(&mut self, w: usize) {
-        self.waiting.push(w);
+        self.waiting.push_back(w);
     }
 
     fn rejoin(&mut self, w: usize) {
         let Some(contact) = self.workers.iter().find(|p| p.active).map(|p| p.primary) else {
-            self.waiting.push(w);
+            self.waiting.push_back(w);
             return;
         };
         let pos = loop {
@@ -765,7 +765,7 @@ impl ChurnOps for EventSubstrate {
         if !ok {
             // A worker whose join dies on the wire stays in the
             // waiting pool and tries again next tick.
-            self.waiting.push(w);
+            self.waiting.push_back(w);
             return;
         }
         if let Some(slot) = self.workers.get_mut(w) {
@@ -845,7 +845,7 @@ impl LocalView for EventNodeCtx<'_> {
             .collect()
     }
 
-    fn successor_list(&self) -> Vec<Id> {
+    fn successor_list(&self) -> SuccList {
         let primary = self.primary();
         let k = self.sub.params.num_neighbors;
         self.sub
@@ -1281,10 +1281,10 @@ fn run_event_inner(
         .enumerate()
         .map(|(i, &id)| (id, i))
         .collect();
-    let mut waiting = Vec::new();
+    let mut waiting = VecDeque::new();
     if cfg.proto.churn_rate > 0.0 {
         for _ in 0..cfg.proto.nodes {
-            waiting.push(workers.len());
+            waiting.push_back(workers.len());
             workers.push(EWorker {
                 primary: Id::ZERO,
                 sybils: Vec::new(),
@@ -1409,8 +1409,10 @@ fn run_event_inner(
                         // synchronous decision order, but any event
                         // already on the wire interleaves with it.
                         let now = sub.wire.now();
-                        for w in sub.decision_order() {
+                        let mut next = sub.next_in_order(0);
+                        while let Some(w) = next {
                             sub.wire.schedule_app_timer(now, token(TAG_CHECK, w as u64));
+                            next = sub.next_in_order(w + 1);
                         }
                         sub.wire.schedule_app_timer(now, token(TAG_POSTCHECK, 0));
                     } else {

@@ -28,7 +28,7 @@ use autobal_core::strategy::{
     crosscheck::{wrap_if_enabled, CrossCheckConfig},
     invitation::{pick_helper, HelperCandidate},
     strategy_for, ActionError, Actions, ChurnOps, InviteOutcome, LocalView, Strategy,
-    StrategyParams, StrategyStack, Substrate,
+    StrategyParams, StrategyStack, Substrate, SuccList,
 };
 use autobal_core::trace::{EventLog, SimEvent};
 use autobal_core::StrategyKind;
@@ -37,7 +37,7 @@ use autobal_metrics::{names as metric_names, MetricsHub, MetricsSample, MetricsS
 use autobal_stats::rng::{domains, substream, DetRng};
 use autobal_telemetry::{MessageStatus, Trace, TraceSink};
 use rand::Rng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Configuration for a protocol-level run.
 #[derive(Debug, Clone)]
@@ -198,7 +198,7 @@ struct ChordSubstrate {
     net: Network,
     workers: Vec<PWorker>,
     /// Waiting pool for churn (worker indices).
-    waiting: Vec<usize>,
+    waiting: VecDeque<usize>,
     /// Which worker controls each live node id.
     owner_of: BTreeMap<Id, usize>,
     params: StrategyParams,
@@ -459,10 +459,9 @@ impl ChordSubstrate {
 }
 
 impl Substrate for ChordSubstrate {
-    fn decision_order(&self) -> Vec<usize> {
-        (0..self.workers.len())
-            .filter(|&i| self.workers[i].active)
-            .collect()
+    fn next_in_order(&self, from: usize) -> Option<usize> {
+        let rest = self.workers.get(from..)?;
+        rest.iter().position(|p| p.active).map(|i| from + i)
     }
 
     fn check_worker(&mut self, w: usize, strategy: &dyn Strategy) {
@@ -488,8 +487,8 @@ impl Substrate for ChordSubstrate {
 }
 
 impl ChurnOps for ChordSubstrate {
-    fn leave_candidates(&self) -> Vec<usize> {
-        self.decision_order()
+    fn next_leave_candidate(&self, from: usize) -> Option<usize> {
+        self.next_in_order(from)
     }
 
     fn active_count(&self) -> usize {
@@ -511,22 +510,26 @@ impl ChurnOps for ChordSubstrate {
         self.owner_of.remove(&primary);
         self.workers[w].active = false;
         self.active_count -= 1;
-        self.waiting.push(w);
+        self.waiting.push_back(w);
         let tick = self.tick;
         self.emit_event(SimEvent::WorkerLeft { tick, worker: w });
     }
 
-    fn take_waiting(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.waiting)
+    fn waiting_len(&self) -> usize {
+        self.waiting.len()
+    }
+
+    fn pop_waiting(&mut self) -> Option<usize> {
+        self.waiting.pop_front()
     }
 
     fn requeue_waiting(&mut self, w: usize) {
-        self.waiting.push(w);
+        self.waiting.push_back(w);
     }
 
     fn rejoin(&mut self, w: usize) {
         let Some(contact) = self.workers.iter().find(|p| p.active).map(|p| p.primary) else {
-            self.waiting.push(w);
+            self.waiting.push_back(w);
             return;
         };
         let pos = loop {
@@ -556,7 +559,7 @@ impl ChurnOps for ChordSubstrate {
         }
         self.hub.message(fate_metric(status), retries);
         if joined.is_err() {
-            self.waiting.push(w);
+            self.waiting.push_back(w);
             return;
         }
         self.workers[w] = PWorker {
@@ -624,7 +627,7 @@ impl LocalView for ChordNodeCtx<'_> {
             .collect()
     }
 
-    fn successor_list(&self) -> Vec<Id> {
+    fn successor_list(&self) -> SuccList {
         let primary = self.primary();
         let k = self.sub.params.num_neighbors;
         self.sub
@@ -940,10 +943,10 @@ fn run_inner(
         .collect();
     // The churn waiting pool "begins at the same initial size as the
     // network" (§IV-A).
-    let mut waiting = Vec::new();
+    let mut waiting = VecDeque::new();
     if cfg.churn_rate > 0.0 {
         for _ in 0..cfg.nodes {
-            waiting.push(workers.len());
+            waiting.push_back(workers.len());
             workers.push(PWorker {
                 primary: Id::ZERO,
                 sybils: Vec::new(),

@@ -22,7 +22,9 @@
 //! Nothing here is reachable from the simulator's production paths; it
 //! is deliberately slow and simple.
 
-use autobal_core::{Heterogeneity, SimConfig, StrategyKind, WorkMeasurement, Worker, WorkerId};
+use autobal_core::{
+    Heterogeneity, Merge, SimConfig, Split, StrategyKind, WorkMeasurement, Worker, WorkerId,
+};
 use autobal_id::{ring as arc, Id};
 use autobal_stats::rng::{domains, substream, DetRng};
 use rand::Rng;
@@ -176,12 +178,13 @@ impl NaiveRing {
     }
 
     /// The transcription of the pre-optimization `Ring::insert_vnode`:
-    /// `partition` the successor's tasks into two fresh vectors.
+    /// `partition` the successor's tasks into two fresh vectors. The
+    /// victim is the successor's owner, looked up separately.
     ///
     /// Errors are unit on purpose: the differential tests only compare
     /// ok/err against `Ring`'s `RingError`, never the error payload.
     #[allow(clippy::result_unit_err)]
-    pub fn insert_vnode(&mut self, id: Id, owner: WorkerId) -> Result<u64, ()> {
+    pub fn insert_vnode(&mut self, id: Id, owner: WorkerId) -> Result<Split, ()> {
         if self.map.contains_key(&id) {
             return Err(());
         }
@@ -193,9 +196,13 @@ impl NaiveRing {
                     tasks: Vec::new(),
                 },
             );
-            return Ok(0);
+            return Ok(Split {
+                acquired: 0,
+                victim: None,
+            });
         }
         let succ_id = self.owner_of_key(id).expect("non-empty ring");
+        let victim = self.owner(succ_id);
         let succ = self.map.get_mut(&succ_id).expect("successor exists");
         let (keep, give): (Vec<Id>, Vec<Id>) = succ
             .tasks
@@ -205,7 +212,7 @@ impl NaiveRing {
         succ.tasks = keep;
         let acquired = give.len() as u64;
         self.map.insert(id, NaiveVNode { owner, tasks: give });
-        Ok(acquired)
+        Ok(Split { acquired, victim })
     }
 
     /// The transcription of the pre-optimization `Ring::remove_vnode`.
@@ -213,7 +220,7 @@ impl NaiveRing {
     /// Errors are unit on purpose: the differential tests only compare
     /// ok/err against `Ring`'s `RingError`, never the error payload.
     #[allow(clippy::result_unit_err)]
-    pub fn remove_vnode(&mut self, id: Id) -> Result<(WorkerId, u64, Id), ()> {
+    pub fn remove_vnode(&mut self, id: Id) -> Result<Merge, ()> {
         if !self.map.contains_key(&id) {
             return Err(());
         }
@@ -221,7 +228,12 @@ impl NaiveRing {
             let v = &self.map[&id];
             if v.tasks.is_empty() {
                 let v = self.map.remove(&id).unwrap();
-                return Ok((v.owner, 0, id));
+                return Ok(Merge {
+                    owner: v.owner,
+                    moved: 0,
+                    succ: id,
+                    succ_owner: v.owner,
+                });
             }
             return Err(());
         }
@@ -230,7 +242,12 @@ impl NaiveRing {
         let moved = v.tasks.len() as u64;
         let succ = self.map.get_mut(&succ_id).unwrap();
         succ.tasks.extend_from_slice(&v.tasks);
-        Ok((v.owner, moved, succ_id))
+        Ok(Merge {
+            owner: v.owner,
+            moved,
+            succ: succ_id,
+            succ_owner: succ.owner,
+        })
     }
 
     /// Initial placement: the obvious per-key owner lookup (the
@@ -408,7 +425,10 @@ impl NaiveSim {
     }
 
     fn remove_vnode_tracked(&mut self, pos: Id) {
-        let Ok((owner, moved, succ)) = self.ring.remove_vnode(pos) else {
+        let Ok(Merge {
+            owner, moved, succ, ..
+        }) = self.ring.remove_vnode(pos)
+        else {
             return;
         };
         if moved > 0 {
@@ -419,7 +439,11 @@ impl NaiveSim {
     }
 
     fn insert_vnode_tracked(&mut self, pos: Id, owner: WorkerId) {
-        let acquired = self.ring.insert_vnode(pos, owner).expect("fresh position");
+        let acquired = self
+            .ring
+            .insert_vnode(pos, owner)
+            .expect("fresh position")
+            .acquired;
         if acquired > 0 {
             let victim_vnode = self.ring.successor_of(pos).expect("successor after split");
             let victim_owner = self.ring.owner(victim_vnode).expect("vnode");
@@ -638,13 +662,13 @@ mod tests {
         assert_eq!(r.load(id(300)), 3);
         assert_eq!(r.load(id(100)), 2, "wrap arc holds 350 and 50");
         let got = r.insert_vnode(id(260), 9).unwrap();
-        assert_eq!(got, 2);
+        assert_eq!(got.acquired, 2);
+        assert_eq!(got.victim, Some(1));
         assert_eq!(r.total_tasks(), 5);
         assert!(r.pop_task(id(260)));
         assert_eq!(r.total_tasks(), 4);
-        let (_, moved, succ) = r.remove_vnode(id(260)).unwrap();
-        assert_eq!(moved, 1);
-        assert_eq!(succ, id(300));
+        let merge = r.remove_vnode(id(260)).unwrap();
+        assert_eq!((merge.moved, merge.succ, merge.succ_owner), (1, id(300), 1));
     }
 
     #[test]

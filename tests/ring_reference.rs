@@ -147,7 +147,7 @@ fn wrap_arc_split_matches_reference() {
     let a = ring.insert_vnode(pos_id(0x08), 2);
     let b = naive.insert_vnode(pos_id(0x08), 2);
     assert_eq!(a.ok(), b.ok());
-    assert_eq!(a.ok(), Some(3));
+    assert_eq!(a.ok().map(|s| s.acquired), Some(3));
     assert_eq!(ring.rows(), naive.rows());
 
     // Merging back on removal restores the wrap arc identically.

@@ -90,15 +90,32 @@ proptest! {
                 Op::Insert { pos, owner } => {
                     let id = pos_id(pos);
                     let want = naive.insert_vnode(id, owner as usize).ok();
+                    // The split victim is whoever owns the newcomer's
+                    // successor (nobody when the ring was empty).
+                    let victim = match naive.len() {
+                        1 => None,
+                        _ => naive.successor_of(id).and_then(|s| naive.owner(s)),
+                    };
                     for r in rings.iter_mut() {
-                        prop_assert_eq!(r.insert_vnode(id, owner as usize).ok(), want);
+                        let got = r.insert_vnode(id, owner as usize).ok();
+                        prop_assert_eq!(got, want);
+                        if let Some(split) = got {
+                            prop_assert_eq!(split.victim, victim);
+                        }
                     }
                 }
                 Op::Remove { pos } => {
                     let id = pos_id(pos);
                     let want = naive.remove_vnode(id).ok();
                     for r in rings.iter_mut() {
-                        prop_assert_eq!(r.remove_vnode(id).ok(), want);
+                        let got = r.remove_vnode(id).ok();
+                        prop_assert_eq!(got, want);
+                        if let Some(merge) = got {
+                            // The heir owns the successor that took the
+                            // keys (the leaver itself when it was last).
+                            let heir = naive.owner(merge.succ).unwrap_or(merge.owner);
+                            prop_assert_eq!(merge.succ_owner, heir);
+                        }
                     }
                 }
                 Op::Pop { pos } => {
@@ -120,10 +137,12 @@ proptest! {
 
     /// Routing answers — key ownership, successor/predecessor walks,
     /// and k-neighbor lists (which cross shard seams) — agree with the
-    /// reference at every shard count.
+    /// reference at every shard count, and every vnode a walk passes
+    /// reports the reference's owner and load.
     #[test]
     fn routing_is_identical_across_shard_counts(
         positions in proptest::collection::vec(any::<u8>(), 1..12),
+        keys in proptest::collection::vec(any::<u16>(), 0..60),
         probes in proptest::collection::vec(any::<u16>(), 1..32),
     ) {
         let mut naive = NaiveRing::new();
@@ -135,6 +154,11 @@ proptest! {
                 let _ = r.insert_vnode(id, i);
             }
         }
+        let keys: Vec<Id> = keys.into_iter().map(key_id).collect();
+        naive.assign_tasks(keys.clone());
+        for r in rings.iter_mut() {
+            r.assign_tasks(keys.clone());
+        }
         let probes = probes.into_iter().map(key_id).chain(positions.into_iter().map(pos_id));
         for k in probes {
             for r in &rings {
@@ -143,6 +167,45 @@ proptest! {
                 prop_assert_eq!(r.predecessor_of(k), naive.predecessor_of(k));
                 prop_assert_eq!(r.successors(k, 3), naive.successors(k, 3));
                 prop_assert_eq!(r.predecessors(k, 3), naive.predecessors(k, 3));
+                let visits = r.successor_walk(k).take(4).chain(r.predecessor_walk(k).take(4));
+                for v in visits {
+                    prop_assert_eq!(Some(v.owner), naive.owner(v.id));
+                    prop_assert_eq!(v.load, naive.load(v.id));
+                }
+            }
+        }
+    }
+
+    /// Walks on rings of one to three vnodes, asking for up to three
+    /// more neighbors than the ring holds. From a present id the walk
+    /// stops when it comes back round; from an absent id it never does,
+    /// so the list repeats the ring — the reference's stepwise answer,
+    /// which the single ordered walk must reproduce across shard seams.
+    #[test]
+    fn walks_on_tiny_rings_repeat_like_the_reference(
+        positions in proptest::collection::vec(any::<u8>(), 1..=3),
+        probes in proptest::collection::vec(any::<u16>(), 1..16),
+    ) {
+        let mut naive = NaiveRing::new();
+        let mut rings = rings();
+        for (i, &p) in positions.iter().enumerate() {
+            let id = pos_id(p);
+            let _ = naive.insert_vnode(id, i);
+            for r in rings.iter_mut() {
+                let _ = r.insert_vnode(id, i);
+            }
+        }
+        let len = naive.len();
+        // Key ids never coincide with vnode positions, so those probes
+        // are absent; the positions themselves are present.
+        let probes = probes.into_iter().map(key_id).chain(positions.into_iter().map(pos_id));
+        for p in probes {
+            for k in 0..=len + 3 {
+                let (succs, preds) = (naive.successors(p, k), naive.predecessors(p, k));
+                for r in &rings {
+                    prop_assert_eq!(r.successors(p, k), succs.clone());
+                    prop_assert_eq!(r.predecessors(p, k), preds.clone());
+                }
             }
         }
     }

@@ -160,6 +160,98 @@ fn plain_ticks_on_sybil_rings_do_not_allocate() {
     );
 }
 
+/// Check ticks keep the promise under smart neighbor injection, the
+/// read-heavy strategy: every idle worker with Sybil budget left walks
+/// its successor list and queries each successor's load on every check
+/// tick. The walk fills an inline list and captures the loads the
+/// queries answer from, so a check tick that creates no Sybil allocates
+/// nothing. Ticks that do create one are structural work (a new task
+/// vector, column and index growth) and are left out of the window by
+/// name, never by hiding them in a warmup.
+#[test]
+fn smart_neighbor_check_ticks_do_not_allocate() {
+    let cfg = SimConfig {
+        nodes: 200,
+        tasks: 100_000,
+        strategy: StrategyKind::SmartNeighbor,
+        ..SimConfig::default()
+    };
+    let every = cfg.check_interval;
+    let mut sim = Sim::new(cfg, 0xA0B1_C2D3);
+    let (mut allocs, mut checks, mut structural, mut queries) = (0u64, 0u32, 0u32, 0u64);
+    while sim.remaining_tasks() > 0 {
+        if !(sim.tick() + 1).is_multiple_of(every) {
+            sim.step();
+            continue;
+        }
+        let before = sim.messages();
+        let (a, _) = allocation_delta(|| sim.step());
+        let after = sim.messages();
+        if after.sybils_created != before.sybils_created {
+            structural += 1;
+            continue;
+        }
+        allocs += a;
+        checks += 1;
+        queries += after.load_queries - before.load_queries;
+    }
+    assert!(structural > 0, "the run must create Sybils at all");
+    assert!(
+        checks >= 50,
+        "only {checks} check ticks without a Sybil join"
+    );
+    assert!(queries > 0, "the window must issue load queries");
+    assert_eq!(
+        allocs, 0,
+        "{checks} smart-neighbor check ticks ({queries} load queries) allocated {allocs} times"
+    );
+}
+
+/// Plain ticks with background churn armed keep the promise too: the
+/// churn layer walks its leave candidates with a cursor and rotates the
+/// waiting queue in place, so a tick in which no worker actually left
+/// or joined allocates nothing. Ticks with a churn join or leave are
+/// structural and are excluded by name.
+#[test]
+fn plain_ticks_under_churn_do_not_allocate() {
+    let cfg = SimConfig {
+        nodes: 200,
+        tasks: 200_000,
+        strategy: StrategyKind::RandomInjection,
+        churn_rate: 0.001,
+        ..SimConfig::default()
+    };
+    let every = cfg.check_interval;
+    let mut sim = Sim::new(cfg, 0xA0B1_C2D3);
+    for _ in 0..32 {
+        sim.step();
+    }
+    let (mut allocs, mut consumed, mut plain, mut churned) = (0u64, 0u64, 0u32, 0u32);
+    for _ in 0..500 {
+        if (sim.tick() + 1).is_multiple_of(every) {
+            sim.step();
+            continue;
+        }
+        let before = sim.messages();
+        let (a, c) = allocation_delta(|| sim.step());
+        let after = sim.messages();
+        if (after.churn_joins, after.churn_leaves) != (before.churn_joins, before.churn_leaves) {
+            churned += 1;
+            continue;
+        }
+        allocs += a;
+        consumed += c;
+        plain += 1;
+    }
+    assert!(churned > 0, "churn must fire somewhere in the window");
+    assert!(plain >= 100, "only {plain} plain ticks without churn");
+    assert!(consumed > 0, "window must have done real work");
+    assert_eq!(
+        allocs, 0,
+        "plain ticks under churn allocated {allocs} times over {plain} ticks"
+    );
+}
+
 /// The same property seen end-to-end: a full run's allocation count is
 /// dominated by setup, not by ticks — running 4x more ticks over the
 /// same setup must not add more than a sliver of allocations.
