@@ -19,7 +19,8 @@
 //! * **P — panic-safety** (`panic-safety`): no `unwrap()` / `expect()` /
 //!   `panic!` / slice-indexing in the `autobal-chord` message-delivery
 //!   and retry paths (`network.rs`, `eventnet.rs`, `fault.rs`,
-//!   `adversary.rs`) and the event-time substrate (`src/event_sim.rs`).
+//!   `adversary.rs`), the event-time substrate (`src/event_sim.rs`) and
+//!   the shared Chord worker/Sybil core (`src/chord_host.rs`).
 //! * **S — strategy locality** (`strategy-locality`): strategy modules
 //!   under `crates/core/src/strategy/` may only see the
 //!   `LocalView` / `Actions` / `Substrate` surface — never Chord
@@ -584,6 +585,16 @@ mod tests {
         );
         assert_eq!(
             rules_for("src/event_sim.rs"),
+            vec![
+                Rule::Determinism,
+                Rule::PanicSafety,
+                Rule::OutputDiscipline,
+                Rule::ErrorPath,
+                Rule::FloatOrder
+            ]
+        );
+        assert_eq!(
+            rules_for("src/chord_host.rs"),
             vec![
                 Rule::Determinism,
                 Rule::PanicSafety,

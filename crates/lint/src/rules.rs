@@ -25,6 +25,7 @@ const ERROR_PATH_FILES: &[&str] = &[
     "adversary.rs",
     "protocol_sim.rs",
     "event_sim.rs",
+    "chord_host.rs",
 ];
 
 /// Keywords that may directly precede a `[` without it being an index
@@ -55,6 +56,7 @@ pub fn rules_for(rel: &str) -> Vec<Rule> {
             | "crates/chord/src/adversary.rs"
             | "crates/core/src/ring.rs"
             | "src/event_sim.rs"
+            | "src/chord_host.rs"
     ) {
         rules.push(Rule::PanicSafety);
     }
